@@ -9,6 +9,8 @@ the cheapest applicable recovery action is emitted as the XML message the
 maintenance side consumes.
 """
 
+import numpy as np
+
 from availkit.causal import PCConfig
 from availkit.entropy import EntropyConfig
 from availkit.faultsim import FaultKind, simulate_frames
@@ -21,8 +23,7 @@ from availkit.scenarios import WEB, three_tier_with_fault
 spec = three_tier_with_fault(FaultKind.cpu_hog, seed=1)
 frames = simulate_frames(spec)
 series = {
-    key: MetricSeries(key=key, points=[(t * spec.tick_ms, float(v))
-                                       for t, v in enumerate(frames.values[:, g])])
+    key: MetricSeries(key, np.arange(frames.values.shape[0]) * spec.tick_ms, frames.values[:, g])
     for g, key in enumerate(frames.columns)
 }
 print(f"injected: {spec.faults[0].kind.value} on "

@@ -2,8 +2,8 @@
 
 Plain stdlib threading HTTP server; JSON request and response bodies.
 Mutations take the runtime lock, so each request is atomic; validation
-failures return 400 with a machine-readable error code, unknown routes
-404.
+failures return 400 with a machine-readable error code, request bodies
+over MAX_BODY_BYTES 413, unknown routes 404.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ log = logging.getLogger(__name__)
 _HEALTH = re.compile(r"^/health/([^/]+)/([^/]+)$")
 _AVAILABILITY = re.compile(r"^/availability/([^/]+)/([^/]+)$")
 _SUBSCRIPTION = re.compile(r"^/subscriptions/([^/]+)$")
+
+MAX_BODY_BYTES = 1 << 20  # 1 MiB; the largest legitimate body is a few hundred bytes
+
+
+class _PayloadTooLarge(Exception):
+    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -51,6 +57,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _PayloadTooLarge()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -112,6 +122,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             try:
                 body = self._body()
+            except _PayloadTooLarge:
+                self._error(413, "payload_too_large")
+                return
             except (json.JSONDecodeError, ValueError) as exc:
                 self._error(400, "bad_request", str(exc))
                 return
@@ -151,6 +164,9 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     body = self._body()
                     params = self.runtime.set_params(body)
+                except _PayloadTooLarge:
+                    self._error(413, "payload_too_large")
+                    return
                 except (json.JSONDecodeError, ValueError) as exc:
                     self._error(400, "bad_request", str(exc))
                     return

@@ -180,7 +180,7 @@ class MethodBus:
 
 def _series_values(value) -> np.ndarray:
     if isinstance(value, MetricSeries):
-        return value.values()
+        return value.values
     return np.asarray(value, dtype=float)
 
 
@@ -250,7 +250,7 @@ def _availability_impl(events):
 
 def _forecast_impl(series, theta, fit_window):
     if isinstance(series, MetricSeries):
-        history = [(ts, value) for ts, value in series.points]
+        history = list(zip(series.ts.tolist(), series.values.tolist()))
     else:
         history = [(int(ts), float(v)) for ts, v in series]
     forecast = forecast_failure_time(history, theta, fit_window)

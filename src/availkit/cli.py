@@ -72,7 +72,8 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
                 f"{path} holds {len(series_map)} series; pick one with --key (e.g. {names})"
             )
         return next(iter(series_map.values()))
-    points: list[tuple[int, float]] = []
+    ts: list[int] = []
+    values: list[float] = []
     with open(text_path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             stripped = line.strip()
@@ -81,14 +82,18 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
             cells = stripped.split(",")
             try:
                 if len(cells) == 1:
-                    points.append((len(points), float(cells[0])))
+                    values.append(float(cells[0]))
+                    ts.append(len(ts))
                 else:
-                    points.append((int(float(cells[0])), float(cells[1])))
-            except ValueError as exc:
+                    values.append(float(cells[1]))
+                    ts.append(int(float(cells[0])))
+                    if not -(2**63) <= ts[-1] < 2**63:
+                        raise ValueError("timestamp outside int64")
+            except (ValueError, OverflowError) as exc:
                 raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
-    if not points:
+    if not ts:
         raise EngineError(f"{path} holds no data points")
-    return MetricSeries(key=MetricKey("0.0.0.0", "cli", "series"), points=points)
+    return MetricSeries(MetricKey("0.0.0.0", "cli", "series"), ts, values)
 
 
 def _load_matrix(path: str) -> MetricMatrix:
@@ -145,7 +150,7 @@ def _add_format(parser) -> None:
 
 def cmd_entropy(args) -> int:
     series = _load_series(args.input, key=args.key)
-    values = series.values()
+    values = series.values
     cfg = EntropyConfig(
         m=args.m,
         r_fraction=args.r_fraction,
@@ -197,17 +202,7 @@ def _load_metric_dir(path: str):
             raise EngineError(f"no metrics files under {path}")
     else:
         files = [p]
-    merged = {}
-    for f in files:
-        series_map, _ = load_metrics_file(f)
-        for key, series in series_map.items():
-            if key in merged:
-                points = {ts: v for ts, v in merged[key].points}
-                points.update(dict(series.points))
-                merged[key] = MetricSeries(key=key, points=sorted(points.items()))
-            else:
-                merged[key] = series
-    return merged
+    return load_metrics_file(*files)[0]
 
 
 def cmd_diagnose(args) -> int:

@@ -15,7 +15,10 @@ import math
 import socket
 import socketserver
 import threading
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BindFailure, FileUnreadable, MalformedRecord, MissingField, NonFiniteValue
 from .model import MetricKey, MetricSample, MetricSeries, ServiceNode
@@ -96,37 +99,41 @@ class IngestStats:
             self.errors.append(message)
 
 
-def load_metrics_file(path) -> tuple[dict[MetricKey, MetricSeries], IngestStats]:
-    """Group a metrics file by key, sorted by ts, last write per ts wins.
+def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStats]:
+    """Group metrics files by key, sorted by ts, last write per ts wins
+    (later lines and later files win).
 
     Per-line problems are counted and skipped; only an unreadable file is
     fatal.
     """
     stats = IngestStats()
     per_key: dict[MetricKey, dict[int, float]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                sample = parse_metric_line(stripped)
-            except (MalformedRecord, MissingField, NonFiniteValue) as exc:
-                stats.record_error(str(exc))
-                continue
-            bucket = per_key.setdefault(sample.key, {})
-            if sample.ts_ms in bucket:
-                stats.deduped += 1
-            bucket[sample.ts_ms] = sample.value
-            stats.accepted += 1
-    series = {
-        key: MetricSeries(key=key, points=sorted(points.items()))
-        for key, points in per_key.items()
-    }
+    for path in paths:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+        with fh:
+            for line in fh:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    sample = parse_metric_line(stripped)
+                except (MalformedRecord, MissingField, NonFiniteValue) as exc:
+                    stats.record_error(str(exc))
+                    continue
+                bucket = per_key.setdefault(sample.key, {})
+                if sample.ts_ms in bucket:
+                    stats.deduped += 1
+                bucket[sample.ts_ms] = sample.value
+                stats.accepted += 1
+    series = {}
+    for key, points in per_key.items():
+        ts = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
+        values = np.fromiter(points.values(), dtype=np.float64, count=len(points))
+        order = np.argsort(ts)
+        series[key] = MetricSeries(key, ts[order], values[order])
     return series, stats
 
 
@@ -145,7 +152,7 @@ class MetricStore:
         self._capacity = capacity_per_key
         self._buffer_ms = out_of_order_buffer_ms
         self._lock = threading.Lock()
-        self._data: dict[MetricKey, tuple[list[int], list[float]]] = {}
+        self._data: dict[MetricKey, tuple[array, array]] = {}
         self.stats = IngestStats()
 
     @classmethod
@@ -158,7 +165,7 @@ class MetricStore:
     def append(self, sample: MetricSample) -> bool:
         """Insert one sample; False when it was late-dropped."""
         with self._lock:
-            ts_list, val_list = self._data.setdefault(sample.key, ([], []))
+            ts_list, val_list = self._data.setdefault(sample.key, (array("q"), array("d")))
             if ts_list:
                 newest = ts_list[-1]
                 if sample.ts_ms < newest - self._buffer_ms:
@@ -197,32 +204,31 @@ class MetricStore:
         with self._lock:
             return sorted({ServiceNode(k.ip, k.service) for k in self._data})
 
-    def series(self, key: MetricKey) -> MetricSeries:
-        """Consistent snapshot of one key's series (may be empty)."""
-        with self._lock:
-            ts_list, val_list = self._data.get(key, ([], []))
-            return MetricSeries(key=key, points=list(zip(ts_list, val_list)))
-
-    def series_for_service(self, node: ServiceNode) -> dict[MetricKey, MetricSeries]:
-        with self._lock:
-            out = {}
-            for key, (ts_list, val_list) in self._data.items():
-                if key.ip == node.ip and key.service == node.service:
-                    out[key] = MetricSeries(key=key, points=list(zip(ts_list, val_list)))
-            return out
-
-    def all_series(self) -> dict[MetricKey, MetricSeries]:
+    def _snapshot(self, wanted) -> dict[MetricKey, MetricSeries]:
+        # np.array copies: a view would alias the columns, and the next
+        # append that resizes them would raise BufferError.
         with self._lock:
             return {
-                key: MetricSeries(key=key, points=list(zip(ts, vals)))
+                key: MetricSeries(key, np.array(ts), np.array(vals))
                 for key, (ts, vals) in self._data.items()
+                if wanted(key)
             }
+
+    def series(self, key: MetricKey) -> MetricSeries:
+        """Consistent snapshot of one key's series (may be empty)."""
+        return self._snapshot(lambda k: k == key).get(key, MetricSeries(key, [], []))
+
+    def series_for_service(self, node: ServiceNode) -> dict[MetricKey, MetricSeries]:
+        return self._snapshot(lambda k: k.ip == node.ip and k.service == node.service)
+
+    def all_series(self) -> dict[MetricKey, MetricSeries]:
+        return self._snapshot(lambda k: True)
 
     def load_file(self, path) -> IngestStats:
         """Bulk-load a metrics file through the same dedup/ordering rules."""
         series, stats = load_metrics_file(path)
         for key, s in series.items():
-            for ts, value in s.points:
+            for ts, value in zip(s.ts.tolist(), s.values.tolist()):
                 self.append(MetricSample(ts_ms=ts, ip=key.ip, service=key.service,
                                          metric=key.metric, value=value))
         return stats

@@ -2,7 +2,9 @@
 
 Everything here is an immutable-ish value object plus a few pure helpers
 (align, window, validate_topology). Timestamps are integer epoch
-milliseconds throughout; missing matrix cells are NaN.
+milliseconds throughout; missing matrix cells are NaN. A series is
+columnar: one int64 timestamp array and one float64 value array, which
+every consumer reads directly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyInput
+
+_MAX_TS_MS = 2**63 - 1  # stored as int64
 
 _DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
@@ -56,8 +60,8 @@ class MetricSample:
     value: float
 
     def __post_init__(self) -> None:
-        if self.ts_ms < 0:
-            raise ValueError(f"ts_ms must be >= 0, got {self.ts_ms}")
+        if not 0 <= self.ts_ms <= _MAX_TS_MS:
+            raise ValueError(f"ts_ms must be in [0, 2**63-1], got {self.ts_ms}")
         if not self.service or not self.metric:
             raise ValueError("service and metric must be non-empty")
         if not is_dotted_quad(self.ip):
@@ -70,25 +74,26 @@ class MetricSample:
         return MetricKey(self.ip, self.service, self.metric)
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricSeries:
-    """Ordered (ts_ms, value) points for one metric key.
+    """One metric key's samples as two equal-length 1-D columns.
 
-    Points are strictly increasing in ts_ms; ingestion dedups duplicates
-    before a series is built.
+    ts (int64 ms) is strictly increasing; ingestion dedups duplicates
+    before a series is built. values is float64.
     """
 
     key: MetricKey
-    points: list[tuple[int, float]] = field(default_factory=list)
+    ts: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.ts = np.asarray(self.ts, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.ts.ndim != 1 or self.ts.shape != self.values.shape:
+            raise ValueError(f"ts and values must be equal-length 1-D: {self.ts.shape}, {self.values.shape}")
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points], dtype=np.int64)
-
-    def values(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points], dtype=float)
+        return self.ts.size
 
 
 @dataclass
@@ -293,8 +298,8 @@ def align(
     if aggregation not in ("mean", "last"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
 
-    t_min = min(s.points[0][0] for s in series if len(s))
-    t_max = max(s.points[-1][0] for s in series if len(s))
+    t_min = min(int(s.ts[0]) for s in series if len(s))
+    t_max = max(int(s.ts[-1]) for s in series if len(s))
     start_ms = (t_min // interval_ms) * interval_ms
     n_rows = int((t_max - start_ms) // interval_ms) + 1
 
@@ -302,9 +307,8 @@ def align(
     for col, s in enumerate(series):
         if not len(s):
             continue
-        ts = s.timestamps()
-        vals = s.values()
-        buckets = (ts - start_ms) // interval_ms
+        vals = s.values
+        buckets = (s.ts - start_ms) // interval_ms
         if aggregation == "last":
             uniq, rev_first = np.unique(buckets[::-1], return_index=True)
             last_idx = len(vals) - 1 - rev_first
@@ -334,7 +338,7 @@ def window(series: MetricSeries, length: int, stride: int) -> list[MetricSeries]
     k = 0
     while k * stride + length <= n:
         lo = k * stride
-        out.append(MetricSeries(key=series.key, points=series.points[lo : lo + length]))
+        out.append(MetricSeries(series.key, series.ts[lo : lo + length], series.values[lo : lo + length]))
         k += 1
     return out
 

@@ -32,12 +32,12 @@ class DiagnosisSettings:
     theta: float | None = None      # entropy alarm threshold override
 
 
-def _infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
+def infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
+    """Smallest positive timestamp step over all series (1000 when none)."""
     diffs = []
     for series in series_map.values():
-        ts = series.timestamps()
-        if ts.size >= 2:
-            d = np.diff(ts)
+        if series.ts.size >= 2:
+            d = np.diff(series.ts)
             d = d[d > 0]
             if d.size:
                 diffs.append(int(d.min()))
@@ -84,7 +84,7 @@ def analyze_service(
     zscores: dict[str, float] = {}
     windows: dict[str, np.ndarray] = {}
     for key, series in series_map.items():
-        values = series.values()
+        values = series.values
         if len(values) < baseline_n + 1 or window_n == 0:
             warnings.append(f"{key.metric}: too short for baseline/window split")
             continue
@@ -102,7 +102,7 @@ def analyze_service(
 
     graph: MetricDependencyGraph | None = None
     if len(series_map) >= 2:
-        interval = settings.interval_ms or _infer_interval(series_map)
+        interval = settings.interval_ms or infer_interval(series_map)
         try:
             matrix = align(list(series_map.values()), interval_ms=interval)
             rows = matrix.values[: matrix.n_rows]  # full span; trim to baseline ticks

@@ -11,7 +11,7 @@ import itertools
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .availability import availability as availability_stats
 from .availability import load_event_log
@@ -21,9 +21,9 @@ from .config import EngineConfig
 from .entropy import EntropyConfig, HealthReport, health_score
 from .errors import EngineError, NoUsableMetric, UnknownMethod
 from .ingest import MetricStore
-from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
-from .model import MetricKey, ServiceDependencyGraph, ServiceNode, load_topology
-from .pipeline import diagnose
+from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action, run_cycle
+from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
+from .pipeline import diagnose, infer_interval
 from .rootcause import Diagnosis
 
 log = logging.getLogger(__name__)
@@ -116,27 +116,16 @@ class EngineRuntime:
         if unknown:
             raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
         with self._lock:
+            entropy, pc = self._entropy, self._pc
             if "alarm_threshold" in updates:
-                value = float(updates["alarm_threshold"])
-                self._entropy = EntropyConfig(
-                    m=self._entropy.m,
-                    r_fraction=self._entropy.r_fraction,
-                    max_scale=self._entropy.max_scale,
-                    window_len=self._entropy.window_len,
-                    alarm_threshold=value,
-                )
+                entropy = replace(entropy, alarm_threshold=float(updates["alarm_threshold"]))
             if "alpha" in updates:
-                value = float(updates["alpha"])
-                self._pc = PCConfig(
-                    alpha=value,
-                    max_cond=self._pc.max_cond,
-                    standardize=self._pc.standardize,
-                    min_rows=self._pc.min_rows,
-                )
+                pc = replace(pc, alpha=float(updates["alpha"]))
+            cycle = int(updates.get("maintenance_cycle_s", self.config.maintenance_cycle_s))
+            if cycle < 1:
+                raise ValueError("maintenance_cycle_s must be >= 1")
+            self._entropy, self._pc = entropy, pc
             if "maintenance_cycle_s" in updates:
-                cycle = int(updates["maintenance_cycle_s"])
-                if cycle < 1:
-                    raise ValueError("maintenance_cycle_s must be >= 1")
                 self.config.maintenance_cycle_s = cycle
                 if self.loop is not None:
                     self.loop.set_cycle_s(cycle)
@@ -152,9 +141,8 @@ class EngineRuntime:
         econf = self.entropy_config
         windows = {}
         for key, series in series_map.items():
-            values = series.values()
-            if values.size:
-                windows[key.metric] = values[-econf.window_len :]
+            if series.values.size:
+                windows[key.metric] = series.values[-econf.window_len :]
         if not windows:
             return None
         try:
@@ -253,24 +241,16 @@ class EngineRuntime:
                 raise ValueError(f"method {sub.method!r} needs a metric in the target")
             return self.store.series(MetricKey(ip, service, str(metric)))
         if desc.input_kind is InputKind.metric_matrix:
-            from .model import align
-
             series_map = self.store.series_for_service(node)
             if not series_map:
                 raise ValueError(f"no data for {node.label()}")
-            return align(list(series_map.values()), interval_ms=self._infer_interval(series_map))
+            return align(list(series_map.values()), interval_ms=infer_interval(series_map))
         if desc.input_kind is InputKind.event_log:
             if not self.config.events_path:
                 raise ValueError("no events file configured")
             logs = load_event_log(self.config.events_path)
             return logs.get(node, [])
         return {n.label(): self.store.series_for_service(n) for n in self.topology.nodes}
-
-    @staticmethod
-    def _infer_interval(series_map) -> int:
-        from .pipeline import _infer_interval
-
-        return _infer_interval(series_map)
 
     def run_subscription_once(self, sub: Subscription) -> None:
         try:
@@ -327,13 +307,8 @@ class EngineRuntime:
         log.info("maintenance action emitted:\n%s", xml)
 
     def start_maintenance_loop(self) -> MaintenanceLoop:
-        loop = MaintenanceLoop(
-            self.maintenance_evaluate, self.emit_action, self.config.maintenance_cycle_s
-        )
-        self.loop = loop
-        thread = threading.Thread(target=loop.run, name="maintenance-cycle", daemon=True)
-        thread.start()
-        return loop
+        self.loop = run_cycle(self.config.maintenance_cycle_s, self.maintenance_evaluate, self.emit_action)
+        return self.loop
 
     def stop(self) -> None:
         if self.loop is not None:

@@ -204,10 +204,7 @@ def test_criterion_4_order_independence():
 
 def _frames_to_series(frames, tick_ms):
     return {
-        key: MetricSeries(
-            key=key,
-            points=[(t * tick_ms, float(v)) for t, v in enumerate(frames.values[:, g])],
-        )
+        key: MetricSeries(key, np.arange(frames.values.shape[0]) * tick_ms, frames.values[:, g])
         for g, key in enumerate(frames.columns)
     }
 

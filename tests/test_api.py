@@ -1,3 +1,4 @@
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -176,8 +177,14 @@ class TestParams:
         assert status == 400
 
     def test_out_of_range_alpha_rejected(self, server):
+        _, before = request(server, "GET", "/params")
         status, doc = request(server, "PUT", "/params", {"alpha": 3.0})
         assert status == 400
+        # a valid field in the same request must not be applied either
+        status, doc = request(server, "PUT", "/params", {"alarm_threshold": 7.5, "alpha": 3.0})
+        assert status == 400
+        _, after = request(server, "GET", "/params")
+        assert after == before
 
 
 class TestRouting:
@@ -196,3 +203,27 @@ class TestRouting:
         except urllib.error.HTTPError as exc:
             status = exc.code
         assert status == 400
+
+    def test_oversized_body_413(self, server):
+        host, port = server.endpoint
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/diagnosis/run")
+            conn.putheader("Content-Length", str(1 << 40))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert json.loads(resp.read().decode()) == {"error": "payload_too_large"}
+        finally:
+            conn.close()
+
+    def test_negative_content_length_400(self, server):
+        host, port = server.endpoint
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("PUT", "/params")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()

@@ -10,7 +10,7 @@ from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode
 
 def series(values, ts_step=1000):
     key = MetricKey("10.0.0.3", "mysql", "cpu_util")
-    return MetricSeries(key=key, points=[(i * ts_step, float(v)) for i, v in enumerate(values)])
+    return MetricSeries(key, np.arange(len(values)) * ts_step, values)
 
 
 class TestRegistry:

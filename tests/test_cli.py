@@ -42,6 +42,13 @@ class TestEntropyCommand:
         code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "--format", "json")
         assert code == 0
 
+    def test_ts_outside_int64_is_domain_error(self, tmp_path, capsys):
+        for cell in ("1e300", "inf"):
+            path = tmp_path / "series.csv"
+            path.write_text(f"{cell},1.0\n" + "".join(f"{i * 1000},{5.0}\n" for i in range(1, 200)))
+            code, _, _ = run_cli(capsys, "entropy", "--input", str(path))
+            assert code == 1
+
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "entropy", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
@@ -130,6 +137,31 @@ class TestSimulateAndDiagnose:
         assert (top["ip"], top["service"]) == ("10.0.0.3", "db")
         pairs = [(c["service"], c["metric"]) for c in doc["ranked_causes"][:3]]
         assert ("db", "cpu_util") in pairs
+
+    def test_diagnose_metrics_split_across_files(self, tmp_path, capsys):
+        spec = three_tier_with_fault(FaultKind.cpu_hog, seed=0)
+        sim = simulate(spec, tmp_path / "sim")
+        lines = sim.metrics_path.read_text().splitlines(keepends=True)
+        split = tmp_path / "split"
+        split.mkdir()
+        (split / "part-1.ndjson").write_text("".join(lines[: len(lines) // 2]))
+        (split / "part-2.ndjson").write_text("".join(lines[len(lines) // 2 :]))
+        docs = []
+        for metrics in (sim.metrics_path, split):
+            code, out, _ = run_cli(
+                capsys, "diagnose",
+                "--topology", str(sim.topology_path),
+                "--metrics", str(metrics),
+                "--entry", "10.0.0.1:web",
+                "--baseline", "1200", "--window", "600",
+                "--pc-stride", "5", "--z-threshold", "5", "--theta", "10",
+                "--format", "json",
+            )
+            assert code == 0
+            docs.append(json.loads(out))
+        single, merged = docs
+        assert merged["ranked_causes"][0] == single["ranked_causes"][0]
+        assert (merged["ranked_causes"][0]["ip"], merged["ranked_causes"][0]["service"]) == ("10.0.0.3", "db")
 
 
 class TestAvailabilityAndForecast:

@@ -82,7 +82,8 @@ class TestLoadFile(object):
         series, stats = load_metrics_file(path)
         key = MetricKey("10.0.0.3", "mysql", "cpu_util")
         assert stats.accepted == 3 and stats.rejected == 0
-        assert series[key].points == [(1000, 1.0), (2000, 2.0), (3000, 3.0)]
+        assert series[key].ts.tolist() == [1000, 2000, 3000]
+        assert series[key].values.tolist() == [1.0, 2.0, 3.0]
 
     def test_malformed_line_counted_not_fatal(self, tmp_path):
         path = tmp_path / "m.ndjson"
@@ -91,7 +92,7 @@ class TestLoadFile(object):
         )
         series, stats = load_metrics_file(path)
         assert stats.accepted == 2 and stats.rejected == 1
-        assert len(next(iter(series.values())).points) == 2
+        assert len(next(iter(series.values()))) == 2
 
     def test_duplicate_ts_last_wins(self, tmp_path):
         path = tmp_path / "m.ndjson"
@@ -99,7 +100,25 @@ class TestLoadFile(object):
             serialize_metric_line(sample(ts=5, value=1.0)) + serialize_metric_line(sample(ts=5, value=2.0))
         )
         series, _ = load_metrics_file(path)
-        assert next(iter(series.values())).points == [(5, 2.0)]
+        s = next(iter(series.values()))
+        assert s.ts.tolist() == [5] and s.values.tolist() == [2.0]
+
+    def test_later_file_wins(self, tmp_path):
+        a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        a.write_text(serialize_metric_line(sample(ts=5, value=1.0)) + serialize_metric_line(sample(ts=6, value=1.0)))
+        b.write_text(serialize_metric_line(sample(ts=5, value=2.0)) + serialize_metric_line(sample(ts=4, value=2.0)))
+        series, stats = load_metrics_file(a, b)
+        s = next(iter(series.values()))
+        assert s.ts.tolist() == [4, 5, 6] and s.values.tolist() == [2.0, 2.0, 1.0]
+        assert stats.accepted == 4 and stats.deduped == 1
+
+    def test_ts_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        too_big = serialize_metric_line(sample(ts=1)).replace('"ts_ms": 1,', f'"ts_ms": {2**63},')
+        path.write_text(serialize_metric_line(sample(ts=1)) + too_big + serialize_metric_line(sample(ts=2)))
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 2 and stats.rejected == 1
+        assert next(iter(series.values())).ts.tolist() == [1, 2]
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "m.ndjson"
@@ -117,23 +136,23 @@ class TestStore:
         store = MetricStore(capacity_per_key=100, out_of_order_buffer_ms=1000)
         for ts in (10, 5000, 4500, 200):  # 200 is older than 5000 - 1000
             store.append(sample(ts=ts))
-        points = store.series(sample().key).points
-        assert [p[0] for p in points] == [10, 4500, 5000]
+        assert store.series(sample().key).ts.tolist() == [10, 4500, 5000]
         assert store.stats.late_dropped == 1
 
     def test_capacity_keeps_newest(self):
         store = MetricStore(capacity_per_key=5, out_of_order_buffer_ms=0)
         for ts in range(20):
             store.append(sample(ts=ts * 1000))
-        points = store.series(sample().key).points
-        assert len(points) == 5
-        assert points[0][0] == 15000 and points[-1][0] == 19000
+        ts = store.series(sample().key).ts
+        assert len(ts) == 5
+        assert ts[0] == 15000 and ts[-1] == 19000
 
     def test_duplicate_ts_overwrites(self):
         store = MetricStore()
         store.append(sample(ts=100, value=1.0))
         store.append(sample(ts=100, value=2.0))
-        assert store.series(sample().key).points == [(100, 2.0)]
+        s = store.series(sample().key)
+        assert s.ts.tolist() == [100] and s.values.tolist() == [2.0]
 
     def test_strictly_increasing_invariant(self):
         import numpy as np
@@ -142,9 +161,21 @@ class TestStore:
         store = MetricStore(capacity_per_key=500, out_of_order_buffer_ms=10_000)
         for ts in rng.integers(0, 100_000, size=400):
             store.append(sample(ts=int(ts)))
-        points = store.series(sample().key).points
-        ts_values = [p[0] for p in points]
+        ts_values = store.series(sample().key).ts.tolist()
         assert ts_values == sorted(set(ts_values))
+
+    def test_snapshot_is_a_copy(self):
+        store = MetricStore(capacity_per_key=4, out_of_order_buffer_ms=10_000)
+        for ts in (1000, 2000, 3000):
+            store.append(sample(ts=ts, value=float(ts)))
+        snap = store.series(sample().key)
+        store.append(sample(ts=3000, value=-1.0))  # dedup overwrite
+        store.append(sample(ts=2500, value=-1.0))  # insert
+        for ts in range(4000, 9000, 1000):  # capacity evictions
+            store.append(sample(ts=ts, value=-1.0))
+        assert snap.ts.tolist() == [1000, 2000, 3000]
+        assert snap.values.tolist() == [1000.0, 2000.0, 3000.0]
+        assert store.series(sample().key).ts.tolist() == [5000, 6000, 7000, 8000]
 
 
 class TestListener:
@@ -200,7 +231,7 @@ class TestListener:
             assert self._wait_for(
                 lambda: len(store.series(key_a)) == 200 and len(store.series(key_b)) == 200
             )
-            assert [p[0] for p in store.series(key_a).points] == list(range(200))
+            assert store.series(key_a).ts.tolist() == list(range(200))
         finally:
             listener.stop()
 
@@ -215,6 +246,22 @@ class TestListener:
             send_metrics(f"127.0.0.1:{port}", lines)
             assert self._wait_for(lambda: len(store.series(sample().key)) == 2)
             assert store.stats.rejected == 1
+        finally:
+            listener.stop()
+
+    def test_ts_beyond_int64_rejected_connection_survives(self):
+        port = self._free_port()
+        config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
+        store = MetricStore.from_config(config)
+        listener = IngestListener(config, store)
+        listener.start()
+        try:
+            too_big = serialize_metric_line(sample(ts=1)).replace('"ts_ms": 1,', f'"ts_ms": {2**63},')
+            lines = [serialize_metric_line(sample(ts=1)), too_big, serialize_metric_line(sample(ts=2))]
+            send_metrics(f"127.0.0.1:{port}", lines)
+            assert self._wait_for(lambda: len(store.series(sample().key)) == 2)
+            assert store.stats.rejected == 1
+            assert store.series(sample().key).ts.tolist() == [1, 2]
         finally:
             listener.stop()
 

@@ -16,7 +16,8 @@ from availkit.model import (
 
 
 def series(points, key=("10.0.0.1", "web", "cpu_util")):
-    return MetricSeries(key=MetricKey(*key), points=list(points))
+    points = list(points)
+    return MetricSeries(MetricKey(*key), [p[0] for p in points], [p[1] for p in points])
 
 
 class TestMetricSample:
@@ -35,6 +36,21 @@ class TestMetricSample:
     def test_rejects_bad_ip(self):
         with pytest.raises(ValueError):
             MetricSample(ts_ms=1, ip="not-an-ip", service="s", metric="m", value=1.0)
+
+
+class TestMetricSeries:
+    def test_columns_coerced(self):
+        s = series([(0, 1), (1000, 2)])
+        assert s.ts.dtype == np.int64 and s.values.dtype == np.float64
+        assert len(s) == 2
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            MetricSeries(MetricKey("10.0.0.1", "web", "cpu_util"), [0, 1000], [1.0])
+
+    def test_rejects_2d_columns(self):
+        with pytest.raises(ValueError):
+            MetricSeries(MetricKey("10.0.0.1", "web", "cpu_util"), [[0, 1000]], [[1.0, 2.0]])
 
 
 class TestAlign:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from availkit.causal import PCConfig
@@ -17,10 +18,7 @@ SETTINGS = DiagnosisSettings(baseline_n=1200, window_n=600, pc_row_stride=5, the
 
 def frames_to_series(frames, tick_ms=1000):
     return {
-        key: MetricSeries(
-            key=key,
-            points=[(t * tick_ms, float(v)) for t, v in enumerate(frames.values[:, g])],
-        )
+        key: MetricSeries(key, np.arange(frames.values.shape[0]) * tick_ms, frames.values[:, g])
         for g, key in enumerate(frames.columns)
     }
 
@@ -51,7 +49,7 @@ class TestAnalyzeService:
 
     def test_short_series_warns_not_crashes(self):
         key = MetricKey(DB.ip, DB.service, "tiny")
-        series = {key: MetricSeries(key=key, points=[(i, float(i)) for i in range(10)])}
+        series = {key: MetricSeries(key, np.arange(10), np.arange(10.0))}
         analysis = analyze_service(DB, series, ECONF, PCONF, ACONF, SETTINGS)
         assert analysis.status.metric_scores == {}
         assert analysis.warnings

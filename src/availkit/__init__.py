@@ -32,7 +32,6 @@ from .entropy import (
     HealthReport,
     SampEnResult,
     coarse_grain,
-    health_alarm,
     health_score,
     mse_curve,
     sample_entropy,

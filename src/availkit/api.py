@@ -14,7 +14,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import EngineError, NoCompletedInterval, NonAlternatingLog, UnknownMethod
+from .errors import EngineError, NoCompletedInterval, NonAlternatingLog
 from .model import ServiceNode
 from .runtime import EngineRuntime
 
@@ -131,15 +131,16 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/subscriptions":
                 method = body.get("method")
                 target = body.get("target") or {}
+                params = body.get("params") or {}
                 period_s = body.get("period_s")
-                if not isinstance(method, str) or not isinstance(period_s, int) or period_s < 1:
-                    self._error(400, "bad_request", "method and period_s (int >= 1) are required")
+                if not (
+                    isinstance(method, str) and type(period_s) is int and period_s >= 1  # not bool
+                    and isinstance(target, dict) and isinstance(params, dict)
+                ):
+                    self._error(400, "bad_request", "method and period_s (int >= 1) are required; "
+                                "target and params are objects")
                     return
-                try:
-                    sub = self.runtime.subscribe(method, target, body.get("params") or {}, period_s)
-                except UnknownMethod as exc:
-                    self._error(400, exc.code, str(exc))
-                    return
+                sub = self.runtime.subscribe(method, target, params, period_s)
                 self._send(201, {"id": sub.id})
                 return
             if self.path == "/diagnosis/run":
@@ -167,7 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
                 except _PayloadTooLarge:
                     self._error(413, "payload_too_large")
                     return
-                except (json.JSONDecodeError, ValueError) as exc:
+                except (ValueError, TypeError) as exc:  # TypeError: float(None)
                     self._error(400, "bad_request", str(exc))
                     return
                 self._send(200, {"params": params})
@@ -205,9 +206,6 @@ class ControlApiServer:
             target=self._server.serve_forever, name="control-api", daemon=True
         )
         self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
 
     def stop(self) -> None:
         self._server.shutdown()

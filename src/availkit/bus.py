@@ -8,6 +8,7 @@ and the frontend can enumerate everything through one listing.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -63,6 +64,8 @@ class ParamSpec:
             raise ParamOutOfBounds(f"parameter {name!r}: cannot read {value!r} as {self.kind}") from exc
         if self.kind in ("int", "float"):
             num = float(coerced)  # type: ignore[arg-type]
+            if math.isnan(num):
+                raise ParamOutOfBounds(f"parameter {name!r} is NaN")
             if self.lo is not None and (num < self.lo or (self.lo_open and num == self.lo)):
                 raise ParamOutOfBounds(f"parameter {name!r}={value!r} below bound {self.lo}")
             if self.hi is not None and (num > self.hi or (self.hi_open and num == self.hi)):

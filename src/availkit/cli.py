@@ -22,9 +22,9 @@ from .availability import availability as availability_stats
 from .availability import forecast_failure_time, load_event_log
 from .api import ControlApiServer
 from .bus import InputKind, MethodBus
-from .causal import PCConfig, learn_metric_graph
+from .causal import PCConfig
 from .config import EngineConfig, load_config
-from .entropy import EntropyConfig, curve_score, mse_curve
+from .entropy import EntropyConfig
 from .errors import EngineError, MalformedRecord, UnknownMethod
 from .faultsim import generate_random_spec, load_spec, simulate
 from .ingest import IngestConfig, IngestListener, load_metrics_file
@@ -130,7 +130,7 @@ def _load_history(path: str) -> list[tuple[int, float]]:
                 else:
                     ts, score = stripped.split(",")
                     out.append((int(float(ts)), float(score)))
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except (ValueError, OverflowError, KeyError) as exc:
                 raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
     return out
 
@@ -150,43 +150,28 @@ def _add_format(parser) -> None:
 
 def cmd_entropy(args) -> int:
     series = _load_series(args.input, key=args.key)
-    values = series.values
-    cfg = EntropyConfig(
-        m=args.m,
-        r_fraction=args.r_fraction,
-        max_scale=args.max_scale,
-        window_len=max(len(values), args.max_scale * (args.m + 2)),
-    )
-    curve = mse_curve(values, cfg)
-    score = curve_score(curve)
-    doc = {
-        "curve": [
-            {"scale": i + 1, "value": e.value, "capped": e.capped} for i, e in enumerate(curve)
-        ],
-        "score": score,
-    }
+    params = {"m": args.m, "r_fraction": args.r_fraction, "max_scale": args.max_scale}
+    doc = MethodBus().run("mse", series, params).payload
     lines = [
-        f"scale {i + 1:2d}: " + ("undefined" if e.value is None else f"{e.value:.6f}" + (" (capped)" if e.capped else ""))
-        for i, e in enumerate(curve)
+        f"scale {e['scale']:2d}: "
+        + ("undefined" if e["value"] is None else f"{e['value']:.6f}" + (" (capped)" if e["capped"] else ""))
+        for e in doc["curve"]
     ]
-    lines.append("score: " + ("undefined" if score is None else f"{score:.6f}"))
+    lines.append("score: " + ("undefined" if doc["score"] is None else f"{doc['score']:.6f}"))
     _emit(args, doc, "\n".join(lines))
     return 0
 
 
 def cmd_pc(args) -> int:
     matrix = _load_matrix(args.input)
-    cfg = PCConfig(alpha=args.alpha, max_cond=args.max_cond, min_rows=args.min_rows)
-    graph = learn_metric_graph(matrix, cfg)
-    doc = graph.to_dict()
-    doc["dropped"] = list(graph.dropped)
-    lines = [f"metrics: {', '.join(graph.metrics)}"]
-    for i, j in sorted(graph.directed):
-        lines.append(f"{graph.metrics[i]} -> {graph.metrics[j]}")
-    for i, j in sorted(graph.undirected):
-        lines.append(f"{graph.metrics[i]} -- {graph.metrics[j]}")
-    if graph.dropped:
-        lines.append(f"dropped (degenerate): {', '.join(graph.dropped)}")
+    params = {"alpha": args.alpha, "max_cond": args.max_cond, "min_rows": args.min_rows}
+    doc = MethodBus().run("pc", matrix, params).payload
+    metrics = doc["metrics"]
+    lines = [f"metrics: {', '.join(metrics)}"]
+    lines += [f"{metrics[i]} -> {metrics[j]}" for i, j in doc["directed"]]
+    lines += [f"{metrics[i]} -- {metrics[j]}" for i, j in doc["undirected"]]
+    if doc["dropped"]:
+        lines.append(f"dropped (degenerate): {', '.join(doc['dropped'])}")
     _emit(args, doc, "\n".join(lines))
     return 0
 

@@ -32,7 +32,7 @@ class EntropyConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.max_scale < 1 or self.window_len < 1:
             raise ValueError("m, max_scale and window_len must be positive")
-        if self.r_fraction <= 0 or self.alarm_threshold <= 0:
+        if not (self.r_fraction > 0) or not (self.alarm_threshold > 0):  # NaN fails too
             raise ValueError("r_fraction and alarm_threshold must be positive")
         if self.window_len // self.max_scale < self.m + 2:
             raise ValueError(
@@ -228,8 +228,3 @@ def health_score(
         threshold=cfg.alarm_threshold,
         computed_at_ms=computed_at_ms,
     )
-
-
-def health_alarm(report: HealthReport, theta: float) -> bool:
-    """Strict threshold rule: alarm iff score > theta."""
-    return report.score > theta

@@ -127,6 +127,10 @@ class InputKindMismatch(EngineError):
     code = "input_kind_mismatch"
 
 
+class TooManySubscriptions(EngineError):
+    code = "too_many_subscriptions"
+
+
 # --- simulator ---
 
 class InvalidSpec(EngineError):

@@ -282,19 +282,11 @@ class IngestListener:
         )
         self._thread.start()
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-
-
-def run_listener(config: IngestConfig, store: MetricStore) -> None:
-    """Bind and serve until interrupted (service loop)."""
-    IngestListener(config, store).serve_forever()
 
 
 def send_metrics(endpoint: str, lines: list[str]) -> None:

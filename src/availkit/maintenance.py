@@ -2,9 +2,9 @@
 
 A Diagnosis is turned into the cheapest applicable action for the top
 cause's category; the action travels as a small canonical XML message
-(the analysis and maintenance sides share only this format). The cycle
-loop re-evaluates health on a runtime-adjustable period and never lets
-two evaluations overlap.
+(the analysis and maintenance sides share only this format). One loop
+thread re-evaluates health on a runtime-adjustable period and runs every
+other periodic job in between, never two at once.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatchcase
-from typing import Callable
+from typing import Callable, Hashable
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
@@ -201,12 +201,23 @@ def parse_action_xml(doc: str) -> MaintenanceAction:
         raise MalformedXml(f"bad field value: {exc}") from exc
 
 
+@dataclass
+class _Job:
+    period: Callable[[], float]  # seconds; read each time the job is rescheduled
+    fn: Callable[[], object]
+    due: float  # time.monotonic() deadline
+
+
+_MAINTENANCE = object()  # job id of the maintenance tick
+
+
 class MaintenanceLoop:
-    """Periodic evaluate/emit loop with a runtime-adjustable cycle.
+    """The engine's one periodic loop: the maintenance tick plus scheduled jobs.
 
     evaluate() returns a MaintenanceAction or None; emit() receives the
-    serialized XML. The loop body runs at most one evaluation at a time;
-    ticks that would overlap a long evaluation are skipped and counted.
+    serialized XML. Jobs run one at a time, earliest due first; ticks that
+    a long run overlaps are skipped (skipped_ticks counts the maintenance
+    tick's). A job that raises is logged and the loop carries on.
     """
 
     def __init__(
@@ -215,28 +226,43 @@ class MaintenanceLoop:
         emit: Callable[[str], None],
         cycle_s: int,
     ) -> None:
-        if cycle_s < 1:
-            raise ValueError("cycle_s must be >= 1")
         self._evaluate = evaluate
         self._emit = emit
-        self._cycle_lock = threading.Lock()
-        self._cycle_s = cycle_s
-        self._stop = threading.Event()
+        self._cond = threading.Condition()
+        self.set_cycle_s(cycle_s)
+        self._stopped = False
+        self._jobs: dict[Hashable, _Job] = {}
         self.ticks = 0
         self.skipped_ticks = 0
         self.emitted = 0
 
     @property
     def cycle_s(self) -> int:
-        with self._cycle_lock:
+        with self._cond:
             return self._cycle_s
 
     def set_cycle_s(self, value: int) -> None:
         """Takes effect at the next tick; last write wins."""
-        if value < 1:
-            raise ValueError("cycle_s must be >= 1")
-        with self._cycle_lock:
+        if type(value) is not int or value < 1:  # bool and 2.7 are rejected
+            raise ValueError("cycle_s must be an integer >= 1")
+        with self._cond:
             self._cycle_s = value
+            self._cond.notify()
+
+    def schedule(self, job_id: Hashable, period_s: float, fn: Callable[[], object]) -> None:
+        """Run fn every period_s seconds from now on, replacing job_id's old job."""
+        if not period_s > 0:
+            raise ValueError("period_s must be positive")
+        with self._cond:
+            self._jobs[job_id] = _Job(lambda: period_s, fn, time.monotonic() + period_s)
+            self._cond.notify()
+
+    def cancel(self, job_id: Hashable) -> bool:
+        """Drop a scheduled job; a run already under way finishes."""
+        with self._cond:
+            found = self._jobs.pop(job_id, None) is not None
+            self._cond.notify()
+        return found
 
     def tick(self) -> bool:
         """One evaluation; True when an action was emitted."""
@@ -257,32 +283,37 @@ class MaintenanceLoop:
         return True
 
     def stop(self) -> None:
-        self._stop.set()
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
 
     def run(self) -> None:
         """Service loop; returns only after stop()."""
-        next_due = time.monotonic() + self.cycle_s
-        while not self._stop.is_set():
-            timeout = max(0.0, next_due - time.monotonic())
-            if self._stop.wait(timeout=timeout):
-                break
-            self.tick()
-            period = float(self.cycle_s)
-            now = time.monotonic()
-            next_due += period
-            while next_due <= now:  # evaluation overran one or more ticks
-                self.skipped_ticks += 1
-                next_due += period
-
-
-def run_cycle(
-    cycle_s: int,
-    pipeline: Callable[[], MaintenanceAction | None],
-    emitter: Callable[[str], None],
-) -> MaintenanceLoop:
-    """Start the maintenance cycle on a daemon thread and return the loop
-    handle (callers adjust the cycle or stop it through the handle)."""
-    loop = MaintenanceLoop(pipeline, emitter, cycle_s)
-    thread = threading.Thread(target=loop.run, name="maintenance-cycle", daemon=True)
-    thread.start()
-    return loop
+        with self._cond:
+            # the first tick is one cycle after start, at the cycle then in force
+            self._jobs[_MAINTENANCE] = _Job(
+                lambda: self._cycle_s, lambda: self.tick(), time.monotonic() + self._cycle_s
+            )
+        while True:
+            with self._cond:
+                if self._stopped:
+                    return
+                job_id, job = min(self._jobs.items(), key=lambda item: item[1].due)
+                wait_s = job.due - time.monotonic()
+                if wait_s > 0:
+                    # schedule, cancel, set_cycle_s and stop notify; a longer wait overflows
+                    self._cond.wait(min(wait_s, threading.TIMEOUT_MAX))
+                    continue
+            try:
+                job.fn()
+            except Exception:
+                log.exception("periodic job %r failed; loop continues", job_id)
+            with self._cond:
+                if self._jobs.get(job_id) is not job:
+                    continue  # cancelled or replaced while it ran
+                period, now = job.period(), time.monotonic()
+                job.due += period
+                while job.due <= now:  # the run overran one or more ticks
+                    if job_id is _MAINTENANCE:
+                        self.skipped_ticks += 1
+                    job.due += period

@@ -1,14 +1,15 @@
 """Shared engine state behind the HTTP API, the CLI and the service loops.
 
 One EngineRuntime owns the metric store, the method bus, the mutable
-control parameters, the subscription schedulers, the cached reports and
-the maintenance cycle.
+control parameters, the subscriptions, the cached reports and the one
+periodic loop that runs the maintenance cycle and every subscription.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -19,14 +20,16 @@ from .bus import InputKind, MethodBus
 from .causal import PCConfig
 from .config import EngineConfig
 from .entropy import EntropyConfig, HealthReport, health_score
-from .errors import EngineError, NoUsableMetric, UnknownMethod
+from .errors import EngineError, NoUsableMetric, TooManySubscriptions, UnknownMethod
 from .ingest import MetricStore
-from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action, run_cycle
+from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
 from .pipeline import diagnose, infer_interval
 from .rootcause import Diagnosis
 
 log = logging.getLogger(__name__)
+
+MAX_SUBSCRIPTIONS = 64  # every subscription runs on the one loop thread
 
 
 @dataclass
@@ -72,11 +75,13 @@ class EngineRuntime:
         self._health_cache: dict[ServiceNode, HealthReport] = {}
         self._latest_diagnosis: Diagnosis | None = None
         self._subscriptions: dict[str, Subscription] = {}
-        self._sub_stops: dict[str, threading.Event] = {}
         self._sub_counter = itertools.count(1)
         self._action_counter = itertools.count(1)
         self.actions: list[str] = []  # emitted maintenance messages (XML)
-        self.loop: MaintenanceLoop | None = None
+        self.loop = MaintenanceLoop(
+            self.maintenance_evaluate, self.emit_action, self.config.maintenance_cycle_s
+        )
+        self._loop_thread: threading.Thread | None = None
 
     # --- parameters ---
 
@@ -102,9 +107,8 @@ class EngineRuntime:
 
     def get_params(self) -> dict:
         with self._lock:
-            cycle = self.loop.cycle_s if self.loop else self.config.maintenance_cycle_s
             return {
-                "maintenance_cycle_s": cycle,
+                "maintenance_cycle_s": self.loop.cycle_s,
                 "alarm_threshold": self._entropy.alarm_threshold,
                 "alpha": self._pc.alpha,
             }
@@ -118,17 +122,15 @@ class EngineRuntime:
         with self._lock:
             entropy, pc = self._entropy, self._pc
             if "alarm_threshold" in updates:
-                entropy = replace(entropy, alarm_threshold=float(updates["alarm_threshold"]))
+                threshold = float(updates["alarm_threshold"])
+                if not math.isfinite(threshold):
+                    raise ValueError("alarm_threshold must be finite")
+                entropy = replace(entropy, alarm_threshold=threshold)
             if "alpha" in updates:
                 pc = replace(pc, alpha=float(updates["alpha"]))
-            cycle = int(updates.get("maintenance_cycle_s", self.config.maintenance_cycle_s))
-            if cycle < 1:
-                raise ValueError("maintenance_cycle_s must be >= 1")
+            if "maintenance_cycle_s" in updates:  # the last check, so a rejection applies nothing
+                self.loop.set_cycle_s(updates["maintenance_cycle_s"])
             self._entropy, self._pc = entropy, pc
-            if "maintenance_cycle_s" in updates:
-                self.config.maintenance_cycle_s = cycle
-                if self.loop is not None:
-                    self.loop.set_cycle_s(cycle)
             return self.get_params()
 
     # --- health ---
@@ -194,11 +196,16 @@ class EngineRuntime:
     # --- subscriptions ---
 
     def subscribe(self, method: str, target: dict, params: dict, period_s: int) -> Subscription:
+        """Run a bus method every period_s seconds, the first time one period
+        from now. Runs happen on the maintenance loop, so only while it is
+        running; `availkit serve` always starts it."""
         if not self.bus.has(method):
             raise UnknownMethod(f"no method named {method!r}")
         if period_s < 1:
             raise ValueError("period_s must be >= 1")
         with self._lock:
+            if len(self._subscriptions) >= MAX_SUBSCRIPTIONS:
+                raise TooManySubscriptions(f"at most {MAX_SUBSCRIPTIONS} subscriptions")
             sub_id = f"sub-{next(self._sub_counter)}"
             sub = Subscription(
                 id=sub_id,
@@ -208,23 +215,14 @@ class EngineRuntime:
                 period_s=period_s,
                 created_at_ms=int(time.time() * 1000),
             )
+            self.loop.schedule(sub_id, period_s, lambda: self.run_subscription_once(sub))
             self._subscriptions[sub_id] = sub
-            stop = threading.Event()
-            self._sub_stops[sub_id] = stop
-        thread = threading.Thread(
-            target=self._subscription_loop, args=(sub, stop),
-            name=f"subscription-{sub_id}", daemon=True,
-        )
-        thread.start()
         return sub
 
     def unsubscribe(self, sub_id: str) -> bool:
         with self._lock:
-            sub = self._subscriptions.pop(sub_id, None)
-            stop = self._sub_stops.pop(sub_id, None)
-        if stop is not None:
-            stop.set()
-        return sub is not None
+            self.loop.cancel(sub_id)
+            return self._subscriptions.pop(sub_id, None) is not None
 
     def subscriptions(self) -> list[Subscription]:
         with self._lock:
@@ -266,10 +264,6 @@ class EngineRuntime:
         finally:
             sub.runs += 1
 
-    def _subscription_loop(self, sub: Subscription, stop: threading.Event) -> None:
-        while not stop.wait(timeout=sub.period_s):
-            self.run_subscription_once(sub)
-
     # --- maintenance ---
 
     def entry_node(self) -> ServiceNode | None:
@@ -292,13 +286,12 @@ class EngineRuntime:
         if not alarmed:
             return None
         diag = self.run_diagnosis(entry)
-        cycle = self.loop.cycle_s if self.loop else self.config.maintenance_cycle_s
         return decide_action(
             diag,
             self.policy,
             action_id=f"act-{next(self._action_counter)}",
             issued_at_ms=int(time.time() * 1000),
-            cycle_s=cycle,
+            cycle_s=self.loop.cycle_s,
         )
 
     def emit_action(self, xml: str) -> None:
@@ -307,13 +300,15 @@ class EngineRuntime:
         log.info("maintenance action emitted:\n%s", xml)
 
     def start_maintenance_loop(self) -> MaintenanceLoop:
-        self.loop = run_cycle(self.config.maintenance_cycle_s, self.maintenance_evaluate, self.emit_action)
+        """Start the loop thread that runs maintenance and subscriptions;
+        a second call is a no-op."""
+        with self._lock:
+            if self._loop_thread is None:
+                self._loop_thread = threading.Thread(
+                    target=self.loop.run, name="maintenance-loop", daemon=True
+                )
+                self._loop_thread.start()
         return self.loop
 
     def stop(self) -> None:
-        if self.loop is not None:
-            self.loop.stop()
-        with self._lock:
-            stops = list(self._sub_stops.values())
-        for stop in stops:
-            stop.set()
+        self.loop.stop()

@@ -10,9 +10,10 @@ from availkit.availability import UpDownEvent, serialize_event_line
 from availkit.config import EngineConfig
 from availkit.faultsim import FaultKind, simulate
 from availkit.model import ServiceNode
-from availkit.runtime import EngineRuntime
+from availkit.runtime import MAX_SUBSCRIPTIONS, EngineRuntime
 from availkit.scenarios import DB, WEB, three_tier_with_fault
 
+DB_CPU = {"ip": "10.0.0.3", "service": "db", "metric": "cpu_util"}
 
 
 def request(server, method, path, body=None):
@@ -101,6 +102,55 @@ class TestSubscriptions:
         )
         assert status == 400
 
+    def test_non_object_target_rejected(self, server):
+        for target in (5, "ab", [1, 2]):
+            status, doc = request(
+                server, "POST", "/subscriptions",
+                {"method": "mse", "target": target, "period_s": 5},
+            )
+            assert status == 400 and doc["error"] == "bad_request", target
+
+    def test_non_object_params_rejected(self, server):
+        for params in (5, "ab", [["m", 2]]):
+            status, doc = request(
+                server, "POST", "/subscriptions",
+                {"method": "mse", "target": DB_CPU, "params": params, "period_s": 5},
+            )
+            assert status == 400 and doc["error"] == "bad_request", params
+
+    def test_bool_period_rejected(self, server):
+        status, doc = request(
+            server, "POST", "/subscriptions",
+            {"method": "mse", "target": DB_CPU, "period_s": True},
+        )
+        assert status == 400 and doc["error"] == "bad_request"
+
+    def test_subscription_cap(self, server):
+        _, doc = request(server, "GET", "/subscriptions")
+        created = []
+        try:
+            for _ in range(MAX_SUBSCRIPTIONS - len(doc["subscriptions"])):
+                status, doc = request(
+                    server, "POST", "/subscriptions",
+                    {"method": "zscore", "target": DB_CPU, "period_s": 3600},
+                )
+                assert status == 201
+                created.append(doc["id"])
+            status, doc = request(
+                server, "POST", "/subscriptions",
+                {"method": "zscore", "target": DB_CPU, "period_s": 3600},
+            )
+            assert status == 400 and doc["error"] == "too_many_subscriptions"
+        finally:
+            for sub_id in created:
+                request(server, "DELETE", f"/subscriptions/{sub_id}")
+        status, doc = request(
+            server, "POST", "/subscriptions",
+            {"method": "zscore", "target": DB_CPU, "period_s": 3600},
+        )
+        assert status == 201  # a freed slot can be taken again
+        request(server, "DELETE", f"/subscriptions/{doc['id']}")
+
     def test_delete_unknown_subscription(self, server):
         status, doc = request(server, "DELETE", "/subscriptions/sub-999")
         assert status == 404 and doc["error"] == "unknown_subscription"
@@ -183,6 +233,26 @@ class TestParams:
         # a valid field in the same request must not be applied either
         status, doc = request(server, "PUT", "/params", {"alarm_threshold": 7.5, "alpha": 3.0})
         assert status == 400
+        _, after = request(server, "GET", "/params")
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"alarm_threshold": float("nan")},
+            {"alarm_threshold": float("inf")},
+            {"alpha": float("nan")},
+            {"alpha": None},
+            {"maintenance_cycle_s": 2.7},
+            {"maintenance_cycle_s": True},
+        ],
+        ids=["nan_threshold", "inf_threshold", "nan_alpha", "null_alpha", "fractional_cycle",
+             "bool_cycle"],
+    )
+    def test_non_finite_or_fractional_rejected(self, server, body):
+        _, before = request(server, "GET", "/params")
+        status, doc = request(server, "PUT", "/params", body)
+        assert status == 400 and doc["error"] == "bad_request"
         _, after = request(server, "GET", "/params")
         assert after == before
 

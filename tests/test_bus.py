@@ -144,6 +144,11 @@ class TestParamSpec:
             spec.validate("p", 2.5)
         assert spec.validate("p", 2.0) == 2
 
+    def test_nan_rejected_despite_bounds(self):
+        spec = ParamSpec("float", 0.15, lo=0.0, lo_open=True)
+        with pytest.raises(ParamOutOfBounds):
+            spec.validate("p", "nan")
+
     def test_bool_strings(self):
         spec = ParamSpec("bool", False)
         assert spec.validate("p", "true") is True

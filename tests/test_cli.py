@@ -53,6 +53,23 @@ class TestEntropyCommand:
         code, _, err = run_cli(capsys, "entropy", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
 
+    def test_out_of_bounds_m_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("".join(f"{i % 7}\n" for i in range(200)))
+        code, _, err = run_cli(capsys, "entropy", "--input", str(path), "--m", "0")
+        assert code == 1
+        assert "'m'" in err and "below bound" in err
+
+    def test_json_equals_analyze_payload(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        rng = np.random.default_rng(4)
+        path.write_text("".join(f"{v}\n" for v in rng.normal(size=300)))
+        _, out, _ = run_cli(capsys, "entropy", "--input", str(path), "--format", "json")
+        _, analyzed, _ = run_cli(
+            capsys, "analyze", "--method", "mse", "--input", str(path), "--format", "json"
+        )
+        assert json.loads(out) == json.loads(analyzed)["payload"]
+
 
 class TestPcCommand:
     def test_chain_graph(self, tmp_path, capsys):
@@ -94,6 +111,13 @@ class TestPcCommand:
         want = direct.to_dict()
         want["dropped"] = list(direct.dropped)
         assert cli_doc == want
+
+    def test_out_of_bounds_alpha_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        path.write_text("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(200)))
+        code, _, err = run_cli(capsys, "pc", "--input", str(path), "--alpha", "5")
+        assert code == 1
+        assert "'alpha'" in err and "above bound" in err
 
 
 class TestSimulateAndDiagnose:
@@ -191,6 +215,13 @@ class TestAvailabilityAndForecast:
         doc = json.loads(out)
         assert doc["kind"] == "crossing"
         assert doc["crossing_ts_ms"] == pytest.approx(5.0)
+
+    def test_forecast_infinite_timestamp_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text("0,0.1\ninf,0.6\n")
+        code, _, err = run_cli(capsys, "forecast", "--input", str(path), "--theta", "0.6")
+        assert code == 1
+        assert "history.csv:2" in err
 
 
 class TestMethodsAndAnalyze:

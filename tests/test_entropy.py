@@ -9,7 +9,6 @@ from availkit.entropy import (
     SampEnResult,
     coarse_grain,
     curve_score,
-    health_alarm,
     health_score,
     mse_curve,
     sample_entropy,
@@ -136,6 +135,11 @@ class TestSampleEntropy:
 class TestMseCurve:
     CFG = EntropyConfig(m=2, r_fraction=0.15, max_scale=10, window_len=600)
 
+    def test_config_rejects_nan(self):
+        for field in ("r_fraction", "alarm_threshold"):
+            with pytest.raises(ValueError):
+                EntropyConfig(**{field: math.nan})
+
     def test_constant_series_all_zero(self):
         curve = mse_curve(np.full(600, 3.0), self.CFG)
         assert [e.value for e in curve] == [0.0] * 10
@@ -221,29 +225,6 @@ class TestHealthScore:
         doc = report.to_dict()
         assert doc["target"] == {"ip": "10.0.0.3", "service": "mysql"}
         assert doc["score"] == 0.0
-
-
-class TestHealthAlarm:
-    def _report(self, score):
-        return HealthReport(
-            target=NODE,
-            per_metric_entropy={},
-            per_metric_score={},
-            excluded_metrics=[],
-            score=score,
-            alarm=False,
-            threshold=0.5,
-            computed_at_ms=0,
-        )
-
-    def test_below(self):
-        assert health_alarm(self._report(0.0), 0.5) is False
-
-    def test_above(self):
-        assert health_alarm(self._report(0.6), 0.5) is True
-
-    def test_boundary_is_strict(self):
-        assert health_alarm(self._report(0.5), 0.5) is False
 
 
 def test_curve_score_ignores_undefined():

@@ -237,7 +237,11 @@ class TestMaintenanceLoop:
             time.sleep(2.5)  # a couple of 1 s ticks
             loop.set_cycle_s(3)
             assert loop.cycle_s == 3
-            time.sleep(3.5)  # at most one more tick under the longer cycle
+            # the tick already due keeps the old spacing; wait for the one after it
+            wanted = len(ticks) + 2
+            deadline = time.monotonic() + 10
+            while len(ticks) < wanted and time.monotonic() < deadline:
+                time.sleep(0.05)
         finally:
             loop.stop()
             thread.join(timeout=5)
@@ -257,15 +261,47 @@ class TestMaintenanceLoop:
         assert loop.skipped_ticks >= 1
         assert loop.ticks >= 1
 
-    def test_run_cycle_starts_background_loop(self):
-        from availkit.maintenance import run_cycle
+    def test_failing_job_does_not_stop_ticks(self):
+        runs = []
 
-        emitted = []
-        loop = run_cycle(1, lambda: SAMPLE_ACTION, emitted.append)
+        def failing_job():
+            runs.append(time.monotonic())
+            raise RuntimeError("job exploded")
+
+        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=1)
+        loop.schedule("bad", 0.05, failing_job)
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
         try:
-            deadline = time.time() + 5
-            while time.time() < deadline and not emitted:
+            deadline = time.monotonic() + 10
+            while loop.ticks < 2 and time.monotonic() < deadline:
                 time.sleep(0.05)
         finally:
             loop.stop()
-        assert emitted and parse_action_xml(emitted[0]) == SAMPLE_ACTION
+            thread.join(timeout=5)
+        assert loop.ticks >= 2
+        assert len(runs) > 2  # the job kept its own, shorter period
+        assert not thread.is_alive()
+
+    def test_cancelled_job_does_not_run(self):
+        runs = []
+        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=300)
+        loop.schedule("job", 0.05, lambda: runs.append(1))
+        assert loop.cancel("job") is True
+        assert loop.cancel("job") is False
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        loop.stop()
+        thread.join(timeout=5)
+        assert runs == [] and not thread.is_alive()
+
+    def test_huge_cycle_does_not_kill_loop(self):
+        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=10**12)
+        thread = threading.Thread(target=loop.run, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        alive = thread.is_alive()  # waiting, not dead of an overflowing timeout
+        loop.stop()
+        thread.join(timeout=5)
+        assert alive and not thread.is_alive()

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 
 import pytest
@@ -12,15 +13,39 @@ from availkit.scenarios import DB, degradation_spec
 
 
 @pytest.fixture(scope="module")
-def degraded_runtime(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sim")
-    spec = degradation_spec(seed=3)
-    sim = simulate(spec, out)
+def degraded_sim(tmp_path_factory):
+    return simulate(degradation_spec(seed=3), tmp_path_factory.mktemp("sim"))
+
+
+def make_runtime(sim) -> EngineRuntime:
     config = EngineConfig(topology_path=str(sim.topology_path), events_path=str(sim.events_path))
     runtime = EngineRuntime(config)
     runtime.store.load_file(sim.metrics_path)
+    return runtime
+
+
+@pytest.fixture(scope="module")
+def degraded_runtime(degraded_sim):
+    runtime = make_runtime(degraded_sim)
     yield runtime
     runtime.stop()
+
+
+@pytest.fixture
+def fresh_runtime(degraded_sim):
+    runtime = make_runtime(degraded_sim)
+    yield runtime
+    runtime.stop()
+
+
+def wait_for(condition, timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+DB_IO_WAIT = {"ip": DB.ip, "service": DB.service, "metric": "io_wait"}
 
 
 class TestConfigFile:
@@ -92,3 +117,40 @@ class TestRuntime:
 
     def test_entry_defaults_to_first_topology_node(self, degraded_runtime):
         assert degraded_runtime.entry_node() == degraded_runtime.topology.nodes[0]
+
+
+class TestLoop:
+    def test_cycle_set_before_start_governs_first_tick(self, fresh_runtime):
+        fresh_runtime.set_params({"maintenance_cycle_s": 1})
+        fresh_runtime.start_maintenance_loop()
+        assert wait_for(lambda: fresh_runtime.actions, timeout_s=30)
+        action = parse_action_xml(fresh_runtime.actions[0])
+        assert action.target == DB and action.cycle_s == 1
+
+    def test_subscriptions_add_no_threads(self, fresh_runtime):
+        fresh_runtime.start_maintenance_loop()
+        before = set(threading.enumerate())
+        subs = [
+            fresh_runtime.subscribe("zscore", DB_IO_WAIT, {}, period_s=3600) for _ in range(20)
+        ]
+        assert set(threading.enumerate()) - before == set()
+        assert threading.active_count() <= len(before)
+        for sub in subs:
+            assert fresh_runtime.unsubscribe(sub.id)
+
+    def test_second_start_starts_no_thread(self, fresh_runtime):
+        loop = fresh_runtime.start_maintenance_loop()
+        before = set(threading.enumerate())
+        assert fresh_runtime.start_maintenance_loop() is loop
+        assert set(threading.enumerate()) - before == set()
+
+    def test_unsubscribe_stops_runs(self, fresh_runtime):
+        fresh_runtime.start_maintenance_loop()
+        sub = fresh_runtime.subscribe("zscore", DB_IO_WAIT, {}, period_s=1)
+        assert wait_for(lambda: sub.runs >= 1, timeout_s=10)
+        assert sub.latest_error is None and "score" in sub.latest_payload
+        assert fresh_runtime.unsubscribe(sub.id)
+        time.sleep(0.2)  # let a run already under way finish
+        runs = sub.runs
+        time.sleep(2.5)  # more than two periods
+        assert sub.runs == runs

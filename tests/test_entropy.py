@@ -227,6 +227,35 @@ class TestHealthScore:
         assert doc["score"] == 0.0
 
 
+class TestHealthAlarm:
+    """The alarm rule of health_score: alarm iff score > threshold."""
+
+    WINDOWS = {"a": np.random.default_rng(17).normal(size=600)}
+
+    def _alarm(self, threshold):
+        cfg = EntropyConfig(
+            m=2, r_fraction=0.15, max_scale=10, window_len=600, alarm_threshold=threshold
+        )
+        return health_score(NODE, self.WINDOWS, cfg)
+
+    def _score(self):
+        return self._alarm(1.0).score
+
+    def test_below(self):
+        report = self._alarm(self._score() + 0.1)
+        assert report.alarm is False
+
+    def test_above(self):
+        report = self._alarm(self._score() - 0.1)
+        assert report.alarm is True
+
+    def test_boundary_is_strict(self):
+        score = self._score()
+        report = self._alarm(score)
+        assert report.score == score
+        assert report.alarm is False
+
+
 def test_curve_score_ignores_undefined():
     curve = [SampEnResult(1.0), SampEnResult(None), SampEnResult(3.0, capped=True)]
     assert curve_score(curve) == pytest.approx(2.0)

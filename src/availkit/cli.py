@@ -89,6 +89,8 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
                     ts.append(int(float(cells[0])))
                     if not -(2**63) <= ts[-1] < 2**63:
                         raise ValueError("timestamp outside int64")
+                if not math.isfinite(values[-1]):
+                    raise ValueError("value is NaN or infinite")
             except (ValueError, OverflowError) as exc:
                 raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
     if not ts:

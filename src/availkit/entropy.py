@@ -6,6 +6,12 @@ A counts the same for length m+1; both draw templates from the first
 N - m start positions so every m-template has an extension. The result is
 -ln(A/B). Multi-scale curves reuse one absolute r, derived from the
 scale-1 standard deviation, at every scale.
+
+The counts are exact but never compare all pairs at once: templates are
+sorted on their first point, only pairs whose first points lie within r
+are tested, and those are tested a bounded chunk at a time (after Manis,
+Aktaruzzaman & Sassi, "Low computational cost for sample entropy",
+Entropy 20(1):61, 2018). Memory is linear in the window length.
 """
 
 from __future__ import annotations
@@ -17,8 +23,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveTolerance, NoUsableMetric, SeriesTooShort
+from .errors import NonFiniteValue, NonPositiveTolerance, NoUsableMetric, SeriesTooShort
 from .model import ServiceNode
+
+# Most candidate pairs _match_counts tests at once; sets its working memory.
+_PAIR_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -71,28 +80,54 @@ def coarse_grain(x: Sequence[float] | np.ndarray, tau: int) -> np.ndarray:
     return arr[: n_blocks * tau].reshape(n_blocks, tau).mean(axis=1)
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    bad = arr.shape[0] - int(np.count_nonzero(np.isfinite(arr)))
+    if bad:
+        raise NonFiniteValue(f"{bad} of {arr.shape[0]} samples are NaN or infinite")
+
+
 def _match_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     """Ordered-pair template match counts (B at length m, A at length m+1).
 
-    Pairwise Chebyshev distances are built incrementally as running
-    maxima of lagged absolute differences, which keeps the whole thing in
-    a handful of (T, T) array operations.
+    Templates are sorted by their first coordinate, so the only partners
+    that can lie within r of template p are the next few in sorted order;
+    `searchsorted` finds where they end (with a rounding slack, so no true
+    match is missed). Those candidate pairs are enumerated in chunks of at
+    most _PAIR_CHUNK and each gets the exact test |a - b| <= r on every
+    coordinate, so the counts equal a full pairwise comparison while memory
+    stays O(t + _PAIR_CHUNK). Each unordered pair is seen once; the counts
+    double it.
     """
     n = x.shape[0]
     t = n - m  # number of template start positions; every one extends
     if t < 2:
         return 0, 0
-    dist = np.zeros((t, t))
-    for k in range(m):
-        seg = x[k : k + t]
-        np.maximum(dist, np.abs(seg[:, None] - seg[None, :]), out=dist)
-    mask_m = dist <= r
-    b = int(mask_m.sum()) - t  # drop the diagonal (i == j)
-    seg = x[m : m + t]
-    np.maximum(dist, np.abs(seg[:, None] - seg[None, :]), out=dist)
-    mask_m1 = dist <= r
-    a = int(mask_m1.sum()) - t
-    return b, a
+    order = np.argsort(x[:t], kind="stable")
+    cols = x[order + np.arange(m + 1)[:, None]]  # (m+1, t): coordinate k of each sorted template
+    first = cols[0]
+    slack = 8 * np.finfo(float).eps * (max(abs(first[0]), abs(first[-1])) + r)
+    ends = np.searchsorted(first, first + (r + slack), side="right")
+    n_cand = ends - np.arange(1, t + 1)  # candidates of p: q in (p, ends[p])
+    cum = np.cumsum(n_cand)
+    b = a = 0
+    row = 0
+    while row < t:
+        before = int(cum[row - 1]) if row else 0
+        stop = max(int(np.searchsorted(cum, before + _PAIR_CHUNK, side="right")), row + 1)
+        counts = n_cand[row:stop]
+        total = int(cum[stop - 1]) - before
+        if total:
+            # pair j of row p (counted from the chunk's start) has partner q = p + 1 + j - start[p]
+            starts = cum[row:stop] - counts - before
+            q = np.arange(total) + np.repeat(np.arange(row + 1, stop + 1) - starts, counts)
+            ok = np.abs(np.repeat(cols[0, row:stop], counts) - cols[0, q]) <= r
+            for k in range(1, m):
+                ok &= np.abs(np.repeat(cols[k, row:stop], counts) - cols[k, q]) <= r
+            b += int(np.count_nonzero(ok))
+            ok &= np.abs(np.repeat(cols[m, row:stop], counts) - cols[m, q]) <= r
+            a += int(np.count_nonzero(ok))
+        row = stop
+    return 2 * b, 2 * a
 
 
 def sample_entropy(x: Sequence[float] | np.ndarray, m: int, r: float) -> SampEnResult:
@@ -108,8 +143,9 @@ def sample_entropy(x: Sequence[float] | np.ndarray, m: int, r: float) -> SampEnR
         raise ValueError("m must be >= 1")
     if n < m + 2:
         raise SeriesTooShort(f"need at least m+2={m + 2} points, got {n}")
-    if r <= 0:
-        raise NonPositiveTolerance(f"tolerance must be positive, got {r}")
+    if not (r > 0) or not math.isfinite(r):  # NaN fails the first test
+        raise NonPositiveTolerance(f"tolerance must be a finite positive number, got {r}")
+    _require_finite(arr)
     b, a = _match_counts(arr, m, r)
     if b == 0:
         return SampEnResult(value=None)
@@ -130,6 +166,7 @@ def mse_curve(x: Sequence[float] | np.ndarray, cfg: EntropyConfig) -> list[SampE
         raise SeriesTooShort(
             f"need at least max_scale*(m+2)={cfg.max_scale * (cfg.m + 2)} points, got {n}"
         )
+    _require_finite(arr)
     sigma = float(np.std(arr))
     if sigma == 0.0:
         return [SampEnResult(value=0.0) for _ in range(cfg.max_scale)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +21,13 @@ from .bus import InputKind, MethodBus
 from .causal import PCConfig
 from .config import EngineConfig
 from .entropy import EntropyConfig, HealthReport, health_score
-from .errors import EngineError, NoUsableMetric, TooManySubscriptions, UnknownMethod
+from .errors import (
+    EngineError,
+    NoUsableMetric,
+    ParamOutOfBounds,
+    TooManySubscriptions,
+    UnknownMethod,
+)
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
@@ -201,8 +208,8 @@ class EngineRuntime:
         running; `availkit serve` always starts it."""
         if not self.bus.has(method):
             raise UnknownMethod(f"no method named {method!r}")
-        if period_s < 1:
-            raise ValueError("period_s must be >= 1")
+        if not 1 <= period_s <= sys.float_info.max:  # the loop keeps due times as floats
+            raise ParamOutOfBounds(f"period_s must be between 1 and {sys.float_info.max:g}")
         with self._lock:
             if len(self._subscriptions) >= MAX_SUBSCRIPTIONS:
                 raise TooManySubscriptions(f"at most {MAX_SUBSCRIPTIONS} subscriptions")

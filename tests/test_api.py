@@ -102,6 +102,16 @@ class TestSubscriptions:
         )
         assert status == 400
 
+    def test_period_beyond_float_range_rejected(self, server):
+        _, before = request(server, "GET", "/subscriptions")
+        status, doc = request(
+            server, "POST", "/subscriptions",
+            {"method": "zscore", "target": DB_CPU, "period_s": 10**400},
+        )
+        assert status == 400 and doc["error"] == "param_out_of_bounds"
+        _, after = request(server, "GET", "/subscriptions")
+        assert after == before
+
     def test_non_object_target_rejected(self, server):
         for target in (5, "ab", [1, 2]):
             status, doc = request(

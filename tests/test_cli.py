@@ -49,6 +49,18 @@ class TestEntropyCommand:
             code, _, _ = run_cli(capsys, "entropy", "--input", str(path))
             assert code == 1
 
+    def test_non_finite_value_is_domain_error(self, tmp_path, capsys):
+        # a NaN cell used to print a fake "score: 0.000000" and exit 0
+        values = np.random.default_rng(1).normal(size=200)
+        with_ts = "".join(f"{i},{v}\n" for i, v in enumerate(values))
+        value_only = "".join(f"{v}\n" for v in values)
+        path = tmp_path / "series.csv"
+        for text in (with_ts + "200,nan\n", with_ts + "200,inf\n", value_only + "nan\n"):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+            assert code == 1 and "score" not in out
+            assert f"{path}:201:" in err  # the offending line is named
+
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "entropy", "--input", str(tmp_path / "nope.csv"))
         assert code == 1

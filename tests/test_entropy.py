@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from availkit import entropy
 from availkit.entropy import (
     EntropyConfig,
     HealthReport,
@@ -13,7 +15,7 @@ from availkit.entropy import (
     mse_curve,
     sample_entropy,
 )
-from availkit.errors import NonPositiveTolerance, NoUsableMetric, SeriesTooShort
+from availkit.errors import NonFiniteValue, NonPositiveTolerance, NoUsableMetric, SeriesTooShort
 from availkit.model import ServiceNode
 
 NODE = ServiceNode("10.0.0.3", "mysql")
@@ -119,6 +121,18 @@ class TestSampleEntropy:
         with pytest.raises(NonPositiveTolerance):
             sample_entropy(np.ones(50), m=2, r=0.0)
 
+    def test_non_finite_tolerance(self):
+        for r in (math.nan, math.inf):
+            with pytest.raises(NonPositiveTolerance):
+                sample_entropy(np.arange(50.0), m=2, r=r)
+
+    def test_non_finite_samples(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            x = np.arange(50.0)
+            x[7] = bad
+            with pytest.raises(NonFiniteValue):
+                sample_entropy(x, m=2, r=0.5)
+
     def test_affine_invariance_with_relative_tolerance(self):
         # exact for power-of-two scale factors (binary-exact arithmetic)
         rng = np.random.default_rng(11)
@@ -130,6 +144,57 @@ class TestSampleEntropy:
             got_x = sample_entropy(x, 2, rx)
             got_y = sample_entropy(y, 2, ry)
             assert got_x.value == got_y.value
+
+
+def oracle_input(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=n)
+    if kind == "rounded":  # many exact ties
+        return np.round(rng.normal(size=n), 1)
+    if kind == "three_level":
+        return rng.integers(0, 3, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "periodic":
+        return np.tile([1.0, 3.0, 2.0, 7.5, 0.0], n)[:n]
+    raise ValueError(kind)
+
+
+class TestMatchCountOracle:
+    """Template counts equal the brute-force oracle exactly, ties included."""
+
+    KINDS = ("uniform", "rounded", "three_level", "constant", "periodic", "minimum_length")
+
+    @pytest.mark.parametrize("r_frac", [0.05, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_counts_equal_brute_force(self, m, kind, r_frac):
+        if kind == "minimum_length":
+            x = oracle_input("uniform", m + 2, seed=m)
+        else:
+            x = oracle_input(kind, 90, seed=10 * m + len(kind))
+        r = r_frac * (float(np.std(x)) or 1.0)
+        want = brute_force_counts(list(x), m, r)
+        assert entropy._match_counts(x, m, r) == want
+        assert sample_entropy(x, m, r).value == brute_force_sampen(x, m, r)
+
+    def test_pair_exactly_r_apart_after_rounding(self):
+        # |7.3 - 1.1| rounds to r, so the pair matches, yet 1.1 + r rounds
+        # below 7.3: a candidate search without slack would drop it
+        r = 7.3 - 1.1
+        assert 1.1 + r < 7.3
+        x = np.array([1.1, 7.3, 1.1, 7.3, 1.1, 4.0, 7.3])
+        for m in (1, 2):
+            assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 50])
+    def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
+        for kind in ("uniform", "rounded", "three_level"):
+            x = oracle_input(kind, 60, seed=chunk)
+            r = 0.5 * float(np.std(x))
+            assert entropy._match_counts(x, 2, r) == brute_force_counts(list(x), 2, r)
 
 
 class TestMseCurve:
@@ -174,6 +239,28 @@ class TestMseCurve:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             mse_curve(np.ones(30), self.CFG)
+
+    def test_non_finite_samples(self):
+        # a NaN used to make sigma and r NaN, so no pair matched and the
+        # curve read B = A = -t, a fake entropy of 0
+        for bad in (math.nan, math.inf):
+            x = np.random.default_rng(7).normal(size=600)
+            x[-1] = bad
+            with pytest.raises(NonFiniteValue):
+                mse_curve(x, self.CFG)
+
+    def test_store_capacity_series_in_bounded_memory(self):
+        # 20,000 points is MetricStore's per-key capacity; a dense (t, t)
+        # distance matrix would need about 10 GB here
+        x = np.random.default_rng(8).normal(size=20_000)
+        tracemalloc.start()
+        try:
+            curve = mse_curve(x, self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(e.defined for e in curve)
+        assert peak < 64 * 2**20
 
 
 class TestHealthScore:

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from availkit.config import EngineConfig, load_config, policy_to_dict
+from availkit.errors import ParamOutOfBounds
 from availkit.faultsim import simulate
 from availkit.maintenance import ActionKind, parse_action_xml
 from availkit.model import ServiceNode
@@ -110,6 +111,12 @@ class TestRuntime:
         assert action.target == DB
         degraded_runtime.emit_action("<maintenance_action/>")
         assert degraded_runtime.actions
+
+    def test_period_beyond_float_range_rejected(self, fresh_runtime):
+        # used to raise OverflowError from the loop's due-time arithmetic
+        with pytest.raises(ParamOutOfBounds):
+            fresh_runtime.subscribe("zscore", DB_IO_WAIT, {}, period_s=10**400)
+        assert fresh_runtime.subscriptions() == []
 
     def test_set_params_rejects_unknown(self, degraded_runtime):
         with pytest.raises(ValueError):

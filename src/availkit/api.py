@@ -3,7 +3,7 @@
 Plain stdlib threading HTTP server; JSON request and response bodies.
 Mutations take the runtime lock, so each request is atomic; validation
 failures return 400 with a machine-readable error code, request bodies
-over MAX_BODY_BYTES 413, unknown routes 404.
+over MAX_BODY_BYTES 413, unknown routes 404, any other failure 500.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import EngineError, NoCompletedInterval, NonAlternatingLog
+from .errors import EngineError
 from .model import ServiceNode
 from .runtime import EngineRuntime
 
@@ -29,6 +29,10 @@ MAX_BODY_BYTES = 1 << 20  # 1 MiB; the largest legitimate body is a few hundred 
 
 class _PayloadTooLarge(Exception):
     pass
+
+
+class _BadRequest(EngineError):
+    code = "bad_request"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -56,128 +60,126 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, doc)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError as exc:
+            raise _BadRequest(f"bad Content-Length: {exc}") from exc
         if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
+            raise _BadRequest(f"negative Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise _PayloadTooLarge()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        doc = json.loads(raw.decode("utf-8"))
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise _BadRequest(str(exc)) from exc
         if not isinstance(doc, dict):
-            raise ValueError("request body must be a JSON object")
+            raise _BadRequest("request body must be a JSON object")
         return doc
+
+    def _handle(self, route) -> None:
+        """Run one verb's routes; the one place errors become status codes."""
+        try:
+            route()
+        except _PayloadTooLarge:
+            self._error(413, "payload_too_large")
+        except EngineError as exc:
+            self._error(400, exc.code, str(exc))
+        except Exception as exc:
+            log.exception("%s %s failed", self.command, self.path)
+            self._error(500, "internal_error", str(exc))
 
     # --- verbs ---
 
     def do_GET(self) -> None:
-        try:
-            if self.path == "/methods":
-                self._send(200, {"methods": [d.to_dict() for d in self.runtime.bus.list_methods()]})
-                return
-            if self.path == "/subscriptions":
-                self._send(200, {"subscriptions": [s.to_dict() for s in self.runtime.subscriptions()]})
-                return
-            if self.path == "/params":
-                self._send(200, {"params": self.runtime.get_params()})
-                return
-            if self.path == "/diagnosis/latest":
-                diag = self.runtime.latest_diagnosis()
-                if diag is None:
-                    self._error(404, "no_diagnosis")
-                    return
-                self._send(200, diag.to_dict())
-                return
-            match = _HEALTH.match(self.path)
-            if match:
-                node = ServiceNode(match.group(1), match.group(2))
-                report = self.runtime.health(node)
-                if report is None:
-                    self._error(404, "no_report")
-                    return
-                self._send(200, report.to_dict())
-                return
-            match = _AVAILABILITY.match(self.path)
-            if match:
-                node = ServiceNode(match.group(1), match.group(2))
-                try:
-                    report = self.runtime.availability_report(node)
-                except (NoCompletedInterval, NonAlternatingLog) as exc:
-                    self._error(400, exc.code, str(exc))
-                    return
-                if report is None:
-                    self._error(404, "no_events")
-                    return
-                self._send(200, report.to_dict())
-                return
-            self._error(404, "not_found")
-        except EngineError as exc:
-            self._error(400, exc.code, str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("GET %s failed", self.path)
-            self._error(500, "internal_error", str(exc))
+        self._handle(self._get)
 
     def do_POST(self) -> None:
-        try:
-            try:
-                body = self._body()
-            except _PayloadTooLarge:
-                self._error(413, "payload_too_large")
-                return
-            except (json.JSONDecodeError, ValueError) as exc:
-                self._error(400, "bad_request", str(exc))
-                return
-            if self.path == "/subscriptions":
-                method = body.get("method")
-                target = body.get("target") or {}
-                params = body.get("params") or {}
-                period_s = body.get("period_s")
-                if not (
-                    isinstance(method, str) and type(period_s) is int and period_s >= 1  # not bool
-                    and isinstance(target, dict) and isinstance(params, dict)
-                ):
-                    self._error(400, "bad_request", "method and period_s (int >= 1) are required; "
-                                "target and params are objects")
-                    return
-                sub = self.runtime.subscribe(method, target, params, period_s)
-                self._send(201, {"id": sub.id})
-                return
-            if self.path == "/diagnosis/run":
-                entry_doc = body.get("entry") or {}
-                if "ip" not in entry_doc or "service" not in entry_doc:
-                    self._error(400, "bad_request", "entry {ip, service} is required")
-                    return
-                entry = ServiceNode(str(entry_doc["ip"]), str(entry_doc["service"]))
-                diag = self.runtime.run_diagnosis(entry)
-                self._send(200, diag.to_dict())
-                return
-            self._error(404, "not_found")
-        except EngineError as exc:
-            self._error(400, exc.code, str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("POST %s failed", self.path)
-            self._error(500, "internal_error", str(exc))
+        self._handle(self._post)
 
     def do_PUT(self) -> None:
-        try:
-            if self.path == "/params":
-                try:
-                    body = self._body()
-                    params = self.runtime.set_params(body)
-                except _PayloadTooLarge:
-                    self._error(413, "payload_too_large")
-                    return
-                except (ValueError, TypeError) as exc:  # TypeError: float(None)
-                    self._error(400, "bad_request", str(exc))
-                    return
-                self._send(200, {"params": params})
-                return
-            self._error(404, "not_found")
-        except EngineError as exc:
-            self._error(400, exc.code, str(exc))
+        self._handle(self._put)
 
     def do_DELETE(self) -> None:
+        self._handle(self._delete)
+
+    def _get(self) -> None:
+        if self.path == "/methods":
+            self._send(200, {"methods": [d.to_dict() for d in self.runtime.bus.list_methods()]})
+            return
+        if self.path == "/subscriptions":
+            self._send(200, {"subscriptions": [s.to_dict() for s in self.runtime.subscriptions()]})
+            return
+        if self.path == "/params":
+            self._send(200, {"params": self.runtime.get_params()})
+            return
+        if self.path == "/diagnosis/latest":
+            diag = self.runtime.latest_diagnosis()
+            if diag is None:
+                self._error(404, "no_diagnosis")
+                return
+            self._send(200, diag.to_dict())
+            return
+        match = _HEALTH.match(self.path)
+        if match:
+            node = ServiceNode(match.group(1), match.group(2))
+            report = self.runtime.health(node)
+            if report is None:
+                self._error(404, "no_report")
+                return
+            self._send(200, report.to_dict())
+            return
+        match = _AVAILABILITY.match(self.path)
+        if match:
+            node = ServiceNode(match.group(1), match.group(2))
+            report = self.runtime.availability_report(node)
+            if report is None:
+                self._error(404, "no_events")
+                return
+            self._send(200, report.to_dict())
+            return
+        self._error(404, "not_found")
+
+    def _post(self) -> None:
+        body = self._body()
+        if self.path == "/subscriptions":
+            method = body.get("method")
+            target = body.get("target") or {}
+            params = body.get("params") or {}
+            period_s = body.get("period_s")
+            if not (
+                isinstance(method, str) and type(period_s) is int and period_s >= 1  # not bool
+                and isinstance(target, dict) and isinstance(params, dict)
+            ):
+                raise _BadRequest("method and period_s (int >= 1) are required; "
+                                  "target and params are objects")
+            sub = self.runtime.subscribe(method, target, params, period_s)
+            self._send(201, {"id": sub.id})
+            return
+        if self.path == "/diagnosis/run":
+            entry_doc = body.get("entry") or {}
+            if "ip" not in entry_doc or "service" not in entry_doc:
+                raise _BadRequest("entry {ip, service} is required")
+            entry = ServiceNode(str(entry_doc["ip"]), str(entry_doc["service"]))
+            diag = self.runtime.run_diagnosis(entry)
+            self._send(200, diag.to_dict())
+            return
+        self._error(404, "not_found")
+
+    def _put(self) -> None:
+        if self.path == "/params":
+            body = self._body()
+            try:
+                params = self.runtime.set_params(body)
+            except (ValueError, TypeError, OverflowError) as exc:  # float(None), float(10**400)
+                raise _BadRequest(str(exc)) from exc
+            self._send(200, {"params": params})
+            return
+        self._error(404, "not_found")
+
+    def _delete(self) -> None:
         match = _SUBSCRIPTION.match(self.path)
         if match:
             if self.runtime.unsubscribe(match.group(1)):

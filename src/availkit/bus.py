@@ -119,11 +119,10 @@ _INPUT_TYPES = {
 class MethodBus:
     """Thread-safe method registry; built-ins are registered on creation."""
 
-    def __init__(self, register_builtins: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._methods: dict[str, tuple[MethodDescriptor, Callable]] = {}
-        if register_builtins:
-            _register_builtins(self)
+        _register_builtins(self)
 
     def register(self, desc: MethodDescriptor, impl: Callable) -> MethodDescriptor:
         with self._lock:

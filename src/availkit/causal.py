@@ -30,7 +30,6 @@ from .model import MetricDependencyGraph, MetricMatrix, topological_order
 class PCConfig:
     alpha: float = 0.01
     max_cond: int = 3
-    standardize: bool = True
     min_rows: int = 100
 
     def __post_init__(self) -> None:
@@ -393,14 +392,6 @@ def learn_metric_graph(data: MetricMatrix, cfg: PCConfig) -> MetricDependencyGra
         columns=[names[k] for k in order],
         values=data.values[:, order],
     )
-    if cfg.standardize:
-        rows, keep, _ = _complete_and_nondegenerate(canon.values, canon.columns)
-        if keep and rows.shape[0] >= 2:
-            mu = rows.mean(axis=0)
-            sd = rows.std(axis=0)
-            scaled = canon.values.copy()
-            scaled[:, keep] = (canon.values[:, keep] - mu) / sd
-            canon = MetricMatrix(canon.interval_ms, canon.start_ms, canon.columns, scaled)
 
     skel = pc_skeleton(canon, cfg)
     pdag = orient_v_structures(skel)

@@ -68,6 +68,10 @@ def load_config(path) -> EngineConfig:
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> EngineConfig:
+    """Build an EngineConfig; a malformed section raises MalformedRecord naming it."""
+    if not isinstance(doc, dict):
+        raise MalformedRecord(f"config must be a JSON object, got {type(doc).__name__}")
+
     def resolve(p):
         if p is None:
             return None
@@ -76,18 +80,21 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> EngineConfig:
             path = base_dir / path
         return str(path)
 
-    entry = None
-    if doc.get("entry"):
-        entry = ServiceNode(str(doc["entry"]["ip"]), str(doc["entry"]["service"]))
+    def section(name: str, build, default=None):
+        try:
+            return build(doc.get(name, default))
+        except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
+            raise MalformedRecord(f"config section {name!r}: {exc}") from exc
+
     return EngineConfig(
-        ingest=IngestConfig(**doc.get("ingest", {})),
-        entropy=EntropyConfig(**doc.get("entropy", {})),
-        pc=PCConfig(**doc.get("pc", {})),
-        anomaly=AnomalyConfig(**doc.get("anomaly", {})),
-        policy=_policy_from_dict(doc.get("policy", {})),
-        diagnosis=DiagnosisSettings(**doc.get("diagnosis", {})),
-        topology_path=resolve(doc.get("topology_path")),
-        events_path=resolve(doc.get("events_path")),
-        entry=entry,
-        maintenance_cycle_s=int(doc.get("maintenance_cycle_s", 300)),
+        ingest=section("ingest", lambda d: IngestConfig(**d), {}),
+        entropy=section("entropy", lambda d: EntropyConfig(**d), {}),
+        pc=section("pc", lambda d: PCConfig(**d), {}),
+        anomaly=section("anomaly", lambda d: AnomalyConfig(**d), {}),
+        policy=section("policy", _policy_from_dict, {}),
+        diagnosis=section("diagnosis", lambda d: DiagnosisSettings(**d), {}),
+        topology_path=section("topology_path", resolve),
+        events_path=section("events_path", resolve),
+        entry=section("entry", lambda d: ServiceNode(str(d["ip"]), str(d["service"])) if d else None),
+        maintenance_cycle_s=section("maintenance_cycle_s", int, 300),
     )

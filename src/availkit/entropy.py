@@ -249,7 +249,7 @@ def health_score(
         if n_defined < min_defined:
             excluded.append(metric)
             continue
-        scores[metric] = float(np.mean([e.value for e in curve if e.defined]))
+        scores[metric] = curve_score(curve)
     if not scores:
         raise NoUsableMetric(
             f"no metric of {target.label()} produced enough defined entropy entries"

@@ -128,11 +128,6 @@ class MetricMatrix:
                 names.append(str(col))
         return names
 
-    def complete_rows(self) -> np.ndarray:
-        """Rows with no absent cell, as a float array."""
-        mask = ~np.isnan(self.values).any(axis=1)
-        return self.values[mask]
-
 
 @dataclass
 class ServiceDependencyGraph:
@@ -314,10 +309,8 @@ def align(
             last_idx = len(vals) - 1 - rev_first
             values[uniq, col] = vals[last_idx]
         else:
-            sums = np.zeros(n_rows)
-            counts = np.zeros(n_rows)
-            np.add.at(sums, buckets, vals)
-            np.add.at(counts, buckets, 1)
+            sums = np.bincount(buckets, weights=vals, minlength=n_rows)
+            counts = np.bincount(buckets, minlength=n_rows)
             filled = counts > 0
             values[filled, col] = sums[filled] / counts[filled]
 

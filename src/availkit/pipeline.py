@@ -17,7 +17,7 @@ import numpy as np
 from .causal import PCConfig, learn_metric_graph
 from .entropy import EntropyConfig, health_score
 from .errors import EngineError, NoUsableMetric
-from .model import MetricDependencyGraph, MetricKey, MetricMatrix, MetricSeries, ServiceDependencyGraph, ServiceNode, align
+from .model import MetricDependencyGraph, MetricKey, MetricSeries, ServiceDependencyGraph, ServiceNode, align
 from .rootcause import AnomalyConfig, Diagnosis, ServiceStatus, localize, service_anomaly, zscore_anomaly
 
 log = logging.getLogger(__name__)
@@ -103,18 +103,19 @@ def analyze_service(
     graph: MetricDependencyGraph | None = None
     if len(series_map) >= 2:
         interval = settings.interval_ms or infer_interval(series_map)
+        # Align only the first baseline_n buckets: cut each series at the
+        # newest baseline timestamp first. The buckets start where align's
+        # do; with no point at all, align raises EmptyInput.
+        t_min = min((int(s.ts[0]) for s in series_map.values() if len(s)), default=0)
+        last_ms = min((t_min // interval + baseline_n) * interval - 1, np.iinfo(np.int64).max)
+        cut_series = []
+        for key, series in series_map.items():
+            cut = int(np.searchsorted(series.ts, last_ms, side="right"))
+            cut_series.append(MetricSeries(key, series.ts[:cut], series.values[:cut]))
         try:
-            matrix = align(list(series_map.values()), interval_ms=interval)
-            rows = matrix.values[: matrix.n_rows]  # full span; trim to baseline ticks
-            n_base = min(matrix.n_rows, baseline_n)
-            base_values = rows[:n_base][:: max(1, settings.pc_row_stride)]
-            base_matrix = MetricMatrix(
-                interval_ms=interval,
-                start_ms=matrix.start_ms,
-                columns=matrix.columns,
-                values=base_values,
-            )
-            graph = learn_metric_graph(base_matrix, pconf)
+            matrix = align(cut_series, interval_ms=interval)
+            matrix.values = matrix.values[:: max(1, settings.pc_row_stride)]
+            graph = learn_metric_graph(matrix, pconf)
         except EngineError as exc:
             warnings.append(f"structure learning skipped: {exc}")
     return ServiceAnalysis(

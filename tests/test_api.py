@@ -255,9 +255,11 @@ class TestParams:
             {"alpha": None},
             {"maintenance_cycle_s": 2.7},
             {"maintenance_cycle_s": True},
+            {"alarm_threshold": 10**400},  # float() raises OverflowError
+            {"alpha": 10**400},
         ],
         ids=["nan_threshold", "inf_threshold", "nan_alpha", "null_alpha", "fractional_cycle",
-             "bool_cycle"],
+             "bool_cycle", "huge_int_threshold", "huge_int_alpha"],
     )
     def test_non_finite_or_fractional_rejected(self, server, body):
         _, before = request(server, "GET", "/params")

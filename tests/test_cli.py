@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from availkit import cli
 from availkit.cli import main
 from availkit.faultsim import FaultKind, simulate
 from availkit.scenarios import three_tier_with_fault
@@ -287,3 +288,27 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "simulate", "--out", str(tmp_path))
         assert code == 1
         assert "either --spec or --random" in err
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize(
+        "doc, section",
+        [
+            ({"pc": {"alpha": 5}}, "'pc'"),
+            ({"ingest": {"bogus": 1}}, "'ingest'"),
+            ({"pc": {"standardize": True}}, "'pc'"),  # removed: PC is scale-invariant
+            ([1], "JSON object"),
+        ],
+        ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object"],
+    )
+    def test_bad_config_is_domain_error(self, tmp_path, capsys, monkeypatch, doc, section):
+        # an accepted config would start serving forever; fail instead
+        monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("config accepted"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "serve", "--config", str(path),
+            "--listen", "127.0.0.1:0", "--metrics-listen", "127.0.0.1:0",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and section in err

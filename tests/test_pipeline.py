@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from availkit.causal import PCConfig
+from availkit import pipeline
+from availkit.causal import PCConfig, learn_metric_graph
 from availkit.entropy import EntropyConfig
 from availkit.errors import EntryNotInTopology
 from availkit.faultsim import FaultKind, simulate_frames
-from availkit.model import MetricKey, MetricSeries, ServiceNode
-from availkit.pipeline import DiagnosisSettings, analyze_service, diagnose
+from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, align
+from availkit.pipeline import DiagnosisSettings, analyze_service, diagnose, infer_interval
 from availkit.rootcause import AnomalyConfig
 from availkit.scenarios import DB, WEB, three_tier_spec, three_tier_with_fault
 
@@ -53,6 +54,78 @@ class TestAnalyzeService:
         analysis = analyze_service(DB, series, ECONF, PCONF, ACONF, SETTINGS)
         assert analysis.status.metric_scores == {}
         assert analysis.warnings
+
+    def test_all_empty_series_skip_structure_learning(self):
+        keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
+        series = {k: MetricSeries(k, np.array([], np.int64), np.array([])) for k in keys}
+        analysis = analyze_service(DB, series, ECONF, PCONF, ACONF, SETTINGS)
+        assert analysis.graph is None
+        assert any(w.startswith("structure learning skipped") for w in analysis.warnings)
+
+
+def _ragged_service(rng):
+    """Metrics a -> b -> c that start at different ticks and have gaps, a
+    second sample of c in some ticks' buckets, and a metric d whose first
+    point lies after the baseline span; the only 250 ms step is in d."""
+    t0 = 1_234_999  # 1 ms before a bucket boundary at 250 and 1000 ms: the span's last ms holds a point
+    n = 2000
+    a = rng.normal(size=n)
+    b = 0.8 * a + 0.3 * rng.normal(size=n)
+    c = 0.8 * b + 0.3 * rng.normal(size=n)
+    ticks = np.arange(n)
+    out = {}
+
+    def add(metric, ts, values):
+        key = MetricKey(DB.ip, DB.service, metric)
+        out[key] = MetricSeries(key, ts, values)
+
+    keep_a = rng.random(n) > 0.1
+    keep_a[1195:1205] = True  # a point in the last baseline bucket at interval 1000
+    add("a", t0 + 1000 * ticks[keep_a], a[keep_a])
+    keep_b = (ticks >= 3) & (rng.random(n) > 0.1)
+    add("b", t0 + 1000 * ticks[keep_b], b[keep_b])
+    # c from tick 7, 100 ms before each tick, plus a sample 500 ms before that every 5th tick
+    ts_c, vals_c = [], []
+    for k in range(7, n):
+        if k % 5 == 0:
+            ts_c.append(t0 + 1000 * k - 600)
+            vals_c.append(c[k] + 0.01)
+        ts_c.append(t0 + 1000 * k - 100)
+        vals_c.append(c[k])
+    add("c", np.array(ts_c), np.array(vals_c))
+    d_ts = t0 + 1000 * np.arange(1500, n)
+    d_ts = np.sort(np.concatenate([d_ts, d_ts[-10:] + 250]))
+    add("d", d_ts, rng.normal(size=d_ts.size))
+    return out
+
+
+class TestBaselineCut:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("interval_ms", [1000, None], ids=["given", "inferred"])
+    def test_pc_input_equals_full_span_align_trimmed(self, interval_ms, stride, monkeypatch):
+        series = _ragged_service(np.random.default_rng(7))
+        # odd baseline_n: its last bucket holds a point and survives stride 2
+        settings = DiagnosisSettings(
+            baseline_n=1201, window_n=200, interval_ms=interval_ms, pc_row_stride=stride, theta=10.0
+        )
+        # reference: align the whole span, keep the first baseline_n rows with the stride
+        interval = interval_ms or infer_interval(series)
+        full = align(list(series.values()), interval_ms=interval)
+        rows = full.values[: settings.baseline_n][::stride]
+        want = learn_metric_graph(MetricMatrix(interval, full.start_ms, full.columns, rows), PCONF)
+
+        seen = []
+        monkeypatch.setattr(
+            pipeline, "learn_metric_graph", lambda m, c: seen.append(m) or learn_metric_graph(m, c)
+        )
+        got = analyze_service(DB, series, ECONF, PCONF, ACONF, settings).graph
+        assert (seen[0].start_ms, seen[0].interval_ms) == (full.start_ms, interval)
+        assert seen[0].columns == full.columns
+        np.testing.assert_array_equal(seen[0].values, rows)
+        assert got is not None
+        assert got.to_dict() == want.to_dict()
+        assert got.dropped == want.dropped == ["d"]
+        assert got.directed or got.undirected
 
 
 class TestDiagnose:

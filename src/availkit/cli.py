@@ -14,6 +14,7 @@ import math
 import signal
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .config import EngineConfig, load_config
 from .entropy import EntropyConfig
 from .errors import EngineError, MalformedRecord, UnknownMethod
 from .faultsim import generate_random_spec, load_spec, simulate
-from .ingest import IngestConfig, IngestListener, load_metrics_file
+from .ingest import IngestListener, load_metrics_file
 from .model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, load_topology
 from .pipeline import DiagnosisSettings, diagnose
 from .rootcause import AnomalyConfig
@@ -330,11 +331,10 @@ def cmd_analyze(args) -> int:
 def cmd_serve(args) -> int:
     config = load_config(args.config) if args.config else EngineConfig()
     if args.metrics_listen:
-        config.ingest = IngestConfig(
-            listen_endpoint=args.metrics_listen,
-            out_of_order_buffer_ms=config.ingest.out_of_order_buffer_ms,
-            store_capacity_per_key=config.ingest.store_capacity_per_key,
-        )
+        try:
+            config.ingest = replace(config.ingest, listen_endpoint=args.metrics_listen)
+        except ValueError as exc:
+            raise MalformedRecord(f"--metrics-listen: {exc}") from exc
     runtime = EngineRuntime(config)
     listener = IngestListener(config.ingest, runtime.store)
     listener.start()

@@ -14,7 +14,7 @@ from .causal import PCConfig
 from .entropy import EntropyConfig
 from .errors import FileUnreadable, MalformedRecord
 from .ingest import IngestConfig
-from .maintenance import ActionKind, MaintenancePolicy, default_policy
+from .maintenance import ActionKind, MaintenancePolicy, check_cycle_s, default_policy
 from .model import ServiceNode
 from .pipeline import DiagnosisSettings
 from .rootcause import AnomalyConfig
@@ -96,5 +96,5 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> EngineConfig:
         topology_path=section("topology_path", resolve),
         events_path=section("events_path", resolve),
         entry=section("entry", lambda d: ServiceNode(str(d["ip"]), str(d["service"])) if d else None),
-        maintenance_cycle_s=section("maintenance_cycle_s", int, 300),
+        maintenance_cycle_s=section("maintenance_cycle_s", check_cycle_s, 300),
     )

@@ -2,7 +2,8 @@
 
 One record per line: a JSON object with the fixed key order
 ts_ms, ip, service, metric, value. Files and the socket stream share the
-format; '#'-prefixed lines are comments. The store keeps a bounded,
+format; '#'-prefixed lines are comments. Both decode lines in batches
+with `decode_records` and append them per key; the store keeps a bounded,
 timestamp-ordered ring per key and tolerates bounded reordering.
 """
 
@@ -17,15 +18,23 @@ import socketserver
 import threading
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import BindFailure, FileUnreadable, MalformedRecord, MissingField, NonFiniteValue
-from .model import MetricKey, MetricSample, MetricSeries, ServiceNode
+from .model import MAX_TS_MS, MetricKey, MetricSample, MetricSeries, ServiceNode, is_dotted_quad
 
 log = logging.getLogger(__name__)
 
 FIELD_ORDER = ("ts_ms", "ip", "service", "metric", "value")
+
+BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no faster
+MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
+_READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
+
+# key -> (ts, values) in arrival order; a key present here has been validated
+Columns = dict[MetricKey, tuple[array, array]]
 
 
 @dataclass(frozen=True)
@@ -39,9 +48,15 @@ class IngestConfig:
             raise ValueError("out_of_order_buffer_ms must be >= 0")
         if self.store_capacity_per_key < 2:
             raise ValueError("store_capacity_per_key must be >= 2")
+        self.host_port()
 
     def host_port(self) -> tuple[str, int]:
-        host, _, port = self.listen_endpoint.rpartition(":")
+        host, _, port = str(self.listen_endpoint).rpartition(":")
+        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ValueError(
+                f"listen_endpoint must be host:port with an integer port in 0-65535, "
+                f"got {self.listen_endpoint!r}"
+            )
         return host or "127.0.0.1", int(port)
 
 
@@ -50,7 +65,7 @@ def parse_metric_line(line: str) -> MetricSample:
     stripped = line.strip()
     try:
         doc = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a >4300-digit number or deep nesting
         raise MalformedRecord(f"bad record structure: {stripped!r}") from exc
     if not isinstance(doc, dict):
         raise MalformedRecord(f"record is not an object: {stripped!r}")
@@ -63,7 +78,7 @@ def parse_metric_line(line: str) -> MetricSample:
         ip = str(doc["ip"])
         service = str(doc["service"])
         metric = str(doc["metric"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity), float(10**400)
         raise MalformedRecord(f"unreadable field: {stripped!r}") from exc
     if not math.isfinite(value):
         raise NonFiniteValue(f"non-finite value: {stripped!r}")
@@ -98,42 +113,112 @@ class IngestStats:
         if len(self.errors) < keep:
             self.errors.append(message)
 
+    def take_rejections(self, other: "IngestStats", keep: int = 20) -> None:
+        """Move other's rejections and error messages into these counters."""
+        self.rejected += other.rejected
+        self.errors.extend(other.errors[: max(0, keep - len(self.errors))])
+        other.rejected = 0
+        other.errors.clear()
+
+
+def record_lines(lines) -> list[str]:
+    """The stripped lines that are neither blank nor '#' comments."""
+    return [s for line in lines if (s := line.strip()) and s[0] != "#"]
+
+
+def _new_columns(columns: Columns, ip, service, metric) -> tuple[array, array] | None:
+    """Add columns for a key not seen yet; None unless the fields are
+    exactly what parse_metric_line accepts unchanged."""
+    if (type(ip) is str and type(service) is str and type(metric) is str
+            and service and metric and is_dotted_quad(ip)):
+        return columns.setdefault(MetricKey(ip, service, metric), (array("q"), array("d")))
+    return None
+
+
+def _decode_line(line: str, stats: IngestStats, columns: Columns) -> None:
+    try:
+        sample = parse_metric_line(line)
+    except (MalformedRecord, MissingField, NonFiniteValue) as exc:
+        stats.record_error(str(exc))
+        return
+    ts, values = columns.setdefault(sample.key, (array("q"), array("d")))
+    ts.append(sample.ts_ms)
+    values.append(sample.value)
+
+
+def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> None:
+    """Append the records of `lines` to their keys' columns in line order
+    and count each rejected line in `stats`, exactly as calling
+    parse_metric_line on every line would.
+
+    `lines` are stripped and hold no blanks or comments (see record_lines).
+    The batch is parsed with one json.loads. That is only done when every
+    line starts with '{', ends with '}' and holds no other brace: a JSON
+    string cannot hold a raw newline, so each line is then exactly one
+    array element. A record whose fields have the exact types, a ts_ms in
+    range, a finite value and a key already in `columns` (or valid) is
+    appended directly; any other line, or every line of a batch that does
+    not parse, goes through parse_metric_line.
+    """
+    n = len(lines)
+    if not n:
+        return
+    text = "[" + ",\n".join(lines) + "]"
+    docs = None
+    if (text[1] == "{" and text[-2] == "}" and text.count("},\n{") == n - 1
+            and text.count("{") == n and text.count("}") == n):
+        try:
+            docs = json.loads(text)
+        except (ValueError, RecursionError):
+            pass
+    if docs is None or len(docs) != n:
+        for line in lines:
+            _decode_line(line, stats, columns)
+        return
+    isfinite, max_ts = math.isfinite, MAX_TS_MS
+    for line, doc in zip(lines, docs):
+        try:
+            ts, value = doc["ts_ms"], doc["value"]
+            cols = columns[doc["ip"], doc["service"], doc["metric"]]  # a MetricKey equals its tuple
+        except (KeyError, TypeError):
+            ts, value, cols = doc.get("ts_ms"), doc.get("value"), None
+        if type(ts) is int and 0 <= ts <= max_ts and type(value) is float and isfinite(value):
+            if cols is None:
+                cols = _new_columns(columns, doc.get("ip"), doc.get("service"), doc.get("metric"))
+            if cols is not None:
+                cols[0].append(ts)
+                cols[1].append(value)
+                continue
+        _decode_line(line, stats, columns)
+
 
 def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStats]:
     """Group metrics files by key, sorted by ts, last write per ts wins
     (later lines and later files win).
 
-    Per-line problems are counted and skipped; only an unreadable file is
-    fatal.
+    Each file is read and decoded BATCH_LINES lines at a time. Per-line
+    problems are counted and skipped; only an unreadable file is fatal.
     """
     stats = IngestStats()
-    per_key: dict[MetricKey, dict[int, float]] = {}
+    columns: Columns = {}
     for path in paths:
         try:
             fh = open(path, "r", encoding="utf-8")
         except OSError as exc:
             raise FileUnreadable(f"cannot read {path}: {exc}") from exc
         with fh:
-            for line in fh:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    sample = parse_metric_line(stripped)
-                except (MalformedRecord, MissingField, NonFiniteValue) as exc:
-                    stats.record_error(str(exc))
-                    continue
-                bucket = per_key.setdefault(sample.key, {})
-                if sample.ts_ms in bucket:
-                    stats.deduped += 1
-                bucket[sample.ts_ms] = sample.value
-                stats.accepted += 1
+            while batch := list(islice(fh, BATCH_LINES)):
+                decode_records(record_lines(batch), stats, columns)
     series = {}
-    for key, points in per_key.items():
-        ts = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
-        values = np.fromiter(points.values(), dtype=np.float64, count=len(points))
-        order = np.argsort(ts)
-        series[key] = MetricSeries(key, ts[order], values[order])
+    for key, (ts_col, val_col) in columns.items():
+        stats.accepted += len(ts_col)
+        ts = np.frombuffer(ts_col, dtype=np.int64)
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+        values = np.frombuffer(val_col, dtype=np.float64)[order]
+        last = np.append(ts[1:] != ts[:-1], True)  # the last of equal timestamps
+        stats.deduped += int(last.size - np.count_nonzero(last))
+        series[key] = MetricSeries(key, ts[last], values[last])
     return series, stats
 
 
@@ -164,37 +249,66 @@ class MetricStore:
 
     def append(self, sample: MetricSample) -> bool:
         """Insert one sample; False when it was late-dropped."""
+        return self.append_many({sample.key: ((sample.ts_ms,), (sample.value,))}) == 1
+
+    def append_many(self, columns, rejected: IngestStats | None = None) -> int:
+        """Insert each key's (ts, values) sequences in order under one lock,
+        and move the batch's rejections from `rejected` into the store's
+        counters under the same lock.
+
+        The result equals appending the samples one at a time: per sample,
+        late-drop against the key's newest point, dedup last-write-wins,
+        insert out-of-order samples in place, and keep the newest
+        capacity points. Eviction advances a start index and deletes once
+        per key, so a sample older than every retained point is accepted
+        and evicted at once, as a single append would do. Returns the
+        number of samples not late-dropped; keys with no samples are
+        skipped.
+        """
+        buffer_ms, capacity = self._buffer_ms, self._capacity
+        accepted = deduped = late = 0
         with self._lock:
-            ts_list, val_list = self._data.setdefault(sample.key, (array("q"), array("d")))
-            if ts_list:
-                newest = ts_list[-1]
-                if sample.ts_ms < newest - self._buffer_ms:
-                    self.stats.late_dropped += 1
-                    return False
-                if sample.ts_ms >= newest:
-                    if sample.ts_ms == newest:
-                        val_list[-1] = sample.value  # dedup: last write wins
-                        self.stats.deduped += 1
-                        return True
-                    ts_list.append(sample.ts_ms)
-                    val_list.append(sample.value)
-                else:
-                    pos = bisect.bisect_left(ts_list, sample.ts_ms)
-                    if pos < len(ts_list) and ts_list[pos] == sample.ts_ms:
-                        val_list[pos] = sample.value
-                        self.stats.deduped += 1
-                        return True
-                    ts_list.insert(pos, sample.ts_ms)
-                    val_list.insert(pos, sample.value)
-            else:
-                ts_list.append(sample.ts_ms)
-                val_list.append(sample.value)
-            if len(ts_list) > self._capacity:
-                drop = len(ts_list) - self._capacity
-                del ts_list[:drop]
-                del val_list[:drop]
-            self.stats.accepted += 1
-            return True
+            for key, (new_ts, new_values) in columns.items():
+                if not len(new_ts):
+                    continue
+                ts, values = self._data.setdefault(key, (array("q"), array("d")))
+                start = 0  # ts[:start] is evicted
+                for t, v in zip(new_ts, new_values):
+                    if ts:
+                        newest = ts[-1]
+                        if t < newest - buffer_ms:
+                            late += 1
+                            continue
+                        if t > newest:
+                            ts.append(t)
+                            values.append(v)
+                        elif t == newest:
+                            values[-1] = v  # dedup: last write wins
+                            deduped += 1
+                            continue
+                        else:
+                            pos = bisect.bisect_left(ts, t, start)
+                            if ts[pos] == t:
+                                values[pos] = v
+                                deduped += 1
+                                continue
+                            ts.insert(pos, t)
+                            values.insert(pos, v)
+                    else:
+                        ts.append(t)
+                        values.append(v)
+                    if len(ts) - start > capacity:
+                        start += 1
+                    accepted += 1
+                if start:
+                    del ts[:start]
+                    del values[:start]
+            self.stats.accepted += accepted
+            self.stats.deduped += deduped
+            self.stats.late_dropped += late
+            if rejected is not None:
+                self.stats.take_rejections(rejected)
+        return accepted + deduped
 
     def keys(self) -> list[MetricKey]:
         with self._lock:
@@ -227,31 +341,76 @@ class MetricStore:
     def load_file(self, path) -> IngestStats:
         """Bulk-load a metrics file through the same dedup/ordering rules."""
         series, stats = load_metrics_file(path)
-        for key, s in series.items():
-            for ts, value in zip(s.ts.tolist(), s.values.tolist()):
-                self.append(MetricSample(ts_ms=ts, ip=key.ip, service=key.service,
-                                         metric=key.metric, value=value))
+        # typed arrays iterate as Python numbers without a list per key
+        self.append_many({key: (array("q", s.ts.tobytes()), array("d", s.values.tobytes()))
+                          for key, s in series.items()})
         return stats
+
+
+def _decode_chunk(chunk: bytes, stats: IngestStats, columns: Columns) -> None:
+    """Decode newline-separated lines; a line that is not UTF-8 counts
+    one rejection in its place."""
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is not None:
+        decode_records(record_lines(text.split("\n")), stats, columns)
+        return
+    run: list[str] = []
+    for raw in chunk.split(b"\n"):
+        try:
+            run.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            decode_records(record_lines(run), stats, columns)
+            run = []
+            stats.record_error("undecodable bytes")
+    decode_records(record_lines(run), stats, columns)
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         store: MetricStore = self.server.store  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                store.stats.record_error("undecodable bytes")
-                continue
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                sample = parse_metric_line(stripped)
-            except (MalformedRecord, MissingField, NonFiniteValue) as exc:
-                store.stats.record_error(str(exc))
-                continue
-            store.append(sample)
+        columns: Columns = {}
+        rejected = IngestStats()  # this read's rejections; the store counts them with its records
+        for chunk in self._chunks(rejected):
+            _decode_chunk(chunk, rejected, columns)
+            store.append_many(columns, rejected)
+            for ts, values in columns.values():
+                del ts[:]
+                del values[:]
+
+    def _chunks(self, rejected: IngestStats):
+        """Yield, per read, its complete lines as one newline-separated
+        chunk (maybe empty); the unterminated rest of the stream comes
+        last. A line over MAX_LINE_BYTES counts one rejection in `rejected`
+        and is skipped up to its newline."""
+        too_long = f"line longer than {MAX_LINE_BYTES} bytes"
+        pending = bytearray()
+        skipping = False
+        while data := self.rfile.read1(_READ_BYTES):
+            if skipping:
+                first = data.find(b"\n")
+                data = data[first + 1 :] if first >= 0 else b""
+                skipping = first < 0
+            chunk = b""
+            last = data.rfind(b"\n")
+            if last < 0:
+                pending += data
+            else:
+                chunk = bytes(pending + data[:last])
+                pending = bytearray(data[last + 1 :])
+                first = chunk.find(b"\n")
+                if (first if first >= 0 else len(chunk)) > MAX_LINE_BYTES:
+                    rejected.record_error(too_long)
+                    chunk = chunk[first + 1 :] if first >= 0 else b""
+            if len(pending) > MAX_LINE_BYTES:
+                rejected.record_error(too_long)
+                pending.clear()
+                skipping = True
+            yield chunk
+        if pending:
+            yield bytes(pending)
 
 
 class IngestListener:

@@ -211,6 +211,13 @@ class _Job:
 _MAINTENANCE = object()  # job id of the maintenance tick
 
 
+def check_cycle_s(value) -> int:
+    """A maintenance cycle length: an integer number of seconds >= 1."""
+    if type(value) is not int or value < 1:  # bool and 2.7 are rejected
+        raise ValueError("cycle_s must be an integer >= 1")
+    return value
+
+
 class MaintenanceLoop:
     """The engine's one periodic loop: the maintenance tick plus scheduled jobs.
 
@@ -243,8 +250,7 @@ class MaintenanceLoop:
 
     def set_cycle_s(self, value: int) -> None:
         """Takes effect at the next tick; last write wins."""
-        if type(value) is not int or value < 1:  # bool and 2.7 are rejected
-            raise ValueError("cycle_s must be an integer >= 1")
+        value = check_cycle_s(value)
         with self._cond:
             self._cycle_s = value
             self._cond.notify()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyInput
 
-_MAX_TS_MS = 2**63 - 1  # stored as int64
+MAX_TS_MS = 2**63 - 1  # stored as int64
 
 _DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
@@ -60,7 +60,7 @@ class MetricSample:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ts_ms <= _MAX_TS_MS:
+        if not 0 <= self.ts_ms <= MAX_TS_MS:
             raise ValueError(f"ts_ms must be in [0, 2**63-1], got {self.ts_ms}")
         if not self.service or not self.metric:
             raise ValueError("service and metric must be non-empty")

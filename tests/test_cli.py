@@ -298,8 +298,12 @@ class TestServeConfig:
             ({"ingest": {"bogus": 1}}, "'ingest'"),
             ({"pc": {"standardize": True}}, "'pc'"),  # removed: PC is scale-invariant
             ([1], "JSON object"),
+            ({"maintenance_cycle_s": 0}, "'maintenance_cycle_s'"),
+            ({"maintenance_cycle_s": 2.7}, "'maintenance_cycle_s'"),
+            ({"ingest": {"listen_endpoint": "nope"}}, "'ingest'"),
         ],
-        ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object"],
+        ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object",
+             "zero_cycle", "fractional_cycle", "endpoint_without_port"],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, monkeypatch, doc, section):
         # an accepted config would start serving forever; fail instead
@@ -312,3 +316,9 @@ class TestServeConfig:
         )
         assert code == 1
         assert err.startswith("error: ") and section in err
+
+    def test_bad_metrics_listen_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("endpoint accepted"))
+        code, _, err = run_cli(capsys, "serve", "--listen", "127.0.0.1:0", "--metrics-listen", "nope")
+        assert code == 1
+        assert err.startswith("error: --metrics-listen") and "0-65535" in err

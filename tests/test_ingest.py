@@ -1,8 +1,15 @@
+import bisect
+import json
+import random
 import socket
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
+from availkit import ingest
 from availkit.errors import (
     BindFailure,
     FileUnreadable,
@@ -11,8 +18,10 @@ from availkit.errors import (
     NonFiniteValue,
 )
 from availkit.ingest import (
+    MAX_LINE_BYTES,
     IngestConfig,
     IngestListener,
+    IngestStats,
     MetricStore,
     load_metrics_file,
     parse_metric_line,
@@ -277,3 +286,408 @@ class TestListener:
                 IngestListener(IngestConfig(listen_endpoint=f"127.0.0.1:{port}"), store)
         finally:
             listener.stop()
+
+
+# --- batch decode: the file loader against the per-line loop it replaced ---
+
+
+def reference_load(*paths):
+    """parse_metric_line on every stripped, non-comment line; the last
+    write per (key, ts) wins."""
+    stats = IngestStats()
+    per_key = {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                try:
+                    s = parse_metric_line(stripped)
+                except (MalformedRecord, MissingField, NonFiniteValue) as exc:
+                    stats.record_error(str(exc))
+                    continue
+                bucket = per_key.setdefault(s.key, {})
+                if s.ts_ms in bucket:
+                    stats.deduped += 1
+                bucket[s.ts_ms] = s.value
+                stats.accepted += 1
+    return {key: sorted(points.items()) for key, points in per_key.items()}, stats
+
+
+def record(ts, value, **fields):
+    doc = {"ts_ms": ts, "ip": "10.0.0.3", "service": "mysql", "metric": "cpu_util", "value": value}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+KEY_FIELDS = '"ip": "10.0.0.3", "service": "mysql", "metric": "cpu_util"'
+
+ODD_LINES = [
+    "# a comment",
+    "",
+    "   \t",
+    record(True, 1.0),  # int(True) == 1: accepted
+    record(7, "1.5"),  # float("1.5"): accepted
+    record(1.7, 2.0),  # int(1.7) == 1: accepted
+    record(8, 3),  # int value: accepted
+    record(9, float("nan")),
+    record(9, float("inf")),
+    record(float("inf"), 1.0),  # int(Infinity) overflows
+    record(2**63, 1.0),
+    record(-1, 1.0),
+    record(10, 10**400),  # float() overflows
+    record(11, 1.0, ip="10.0.0.256"),
+    record(11, 1.0, ip="db-host"),
+    record(11, 1.0, ip=[10, 0, 0, 3]),  # unhashable key field
+    record(12, 1.0, service=""),
+    record(12, 1.0, metric=""),
+    record(13, 1.0, service=5),  # str(5): accepted under service "5"
+    record(14, 1.0, tags=["a", {"b": 1}]),  # nested extra field: accepted
+    record(15, 1.0, metric="cpu{util}"),  # braces inside a string: accepted
+    "  " + record(16, 4.0) + "\t",  # surrounding whitespace: accepted
+    record(17, 1.0) + ", " + record(18, 1.0),  # two records on one line
+    record(-5, 1.0, ip="10.0.0.9", service="late", metric="key"),  # valid key, bad ts
+    '{"ts_ms": 1' + "0" * 5000 + ", " + KEY_FIELDS + ', "value": 1.0}',  # over the int digit limit
+    '{"a": ' + "[" * 5000 + "]" * 5000 + "}",  # deeper than the recursion limit
+    "[1, 2]",
+    "5",
+    '"text"',
+    "null",
+    "{}",
+    '{"ts_ms": 1}',
+    "garbage",
+    '{"ts_ms": 19,',
+    "﻿" + record(20, 1.0),  # a byte order mark
+]
+
+# Each line alone is malformed; joined by ",\n" they parse as two records.
+SPLICE = [record(21, 1.0)[:-1] + ', "z": [{"a": 1}', '{"b": 2}]}, ' + record(22, 1.0)]
+
+
+def base_lines(rng, n, start=0):
+    """Canonical records on three metrics; about 5% repeat or precede an
+    earlier timestamp."""
+    lines = []
+    for i in range(start, start + n):
+        metric = ("cpu_util", "mem_used", "latency")[i % 3]
+        ts = (i // 3) * 1000
+        if rng.random() < 0.05:
+            ts = rng.randrange(0, ts + 1000, 1000)
+        lines.append(record(ts, rng.uniform(-1.0, 1.0), metric=metric))
+    return lines
+
+
+def place(lines, base, at, block):
+    """Pad `lines` with base records up to raw line index `at`, then add `block`."""
+    need = at - len(lines)
+    lines.extend(base[:need])
+    del base[:need]
+    lines.extend(block)
+
+
+def write_corpus(tmp_path, batch=ingest.BATCH_LINES):
+    rng = random.Random(5)
+    base = base_lines(rng, 3 * batch)
+    first = SPLICE + ODD_LINES
+    half = len(ODD_LINES) // 2
+    place(first, base, batch - 1 - half, ODD_LINES[:half])
+    place(first, base, batch - 1, SPLICE)  # lines batch-1 and batch straddle the boundary
+    place(first, base, len(first), ODD_LINES[half:] + SPLICE)
+    place(first, base, 2 * batch - 3, ODD_LINES)
+    first.extend(base)
+    first.append(record(99_000, 1.0, ip="10.0.0.9", service="late", metric="key"))
+    second = base_lines(random.Random(6), 200) + ODD_LINES  # repeats timestamps of the first file
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text("\n".join(first) + "\n", encoding="utf-8")
+    # mixed line endings: universal newlines split on \r\n and a lone \r too
+    with open(b, "w", encoding="utf-8", newline="") as fh:
+        for i, line in enumerate(second):
+            fh.write(line + ("\r\n", "\r", "\n")[i % 3])
+        fh.write(record(5, 7.0))  # no final newline
+    return [a, b]
+
+
+def assert_same_load(paths):
+    want, want_stats = reference_load(*paths)
+    got, got_stats = load_metrics_file(*paths)
+    assert list(got) == list(want)
+    for key, points in want.items():
+        assert got[key].ts.tolist() == [t for t, _ in points]
+        assert got[key].values.tobytes() == np.array([v for _, v in points], dtype=np.float64).tobytes()
+    assert (got_stats.accepted, got_stats.rejected, got_stats.deduped, got_stats.late_dropped) == (
+        want_stats.accepted, want_stats.rejected, want_stats.deduped, want_stats.late_dropped)
+    assert got_stats.errors == want_stats.errors
+    return want_stats
+
+
+class TestBatchDecode:
+    def test_matches_per_line_loop(self, tmp_path):
+        stats = assert_same_load(write_corpus(tmp_path))
+        assert stats.accepted > 2 * ingest.BATCH_LINES and stats.deduped > 50
+        assert stats.rejected > 20 and len(stats.errors) == 20
+
+    def test_matches_per_line_loop_on_small_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BATCH_LINES", 7)
+        assert_same_load(write_corpus(tmp_path, batch=7))
+
+    def test_each_odd_line_alone(self, tmp_path):
+        for i, line in enumerate(ODD_LINES + SPLICE):
+            path = tmp_path / f"odd{i}.ndjson"
+            path.write_text(record(0, 0.5) + "\n" + line + "\n" + record(1, 0.5) + "\n", encoding="utf-8")
+            assert_same_load([path])
+
+    def test_splice_lines_rejected_and_neighbours_kept(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        path.write_text("\n".join([record(1, 1.0)] + SPLICE + [record(2, 2.0)]) + "\n")
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 2 and stats.rejected == 2
+        assert series[MetricKey("10.0.0.3", "mysql", "cpu_util")].ts.tolist() == [1, 2]
+
+    def test_overflowing_fields_rejected_not_raised(self):
+        for line in (record(float("inf"), 1.0), record(1, 10**400),
+                     '{"ts_ms": 1' + "0" * 5000 + ", " + KEY_FIELDS + ', "value": 1.0}',
+                     '{"a": ' + "[" * 5000 + "]" * 5000 + "}"):
+            with pytest.raises(MalformedRecord):
+                parse_metric_line(line)
+
+
+# --- batched store appends against the one-at-a-time rules ---
+
+
+def sequential_reference(events, capacity, buffer_ms):
+    """The store's per-sample rules on plain lists, one event at a time."""
+    data = {}
+    counts = {"accepted": 0, "deduped": 0, "late_dropped": 0}
+    for key, t, v in events:
+        ts, vals = data.setdefault(key, ([], []))
+        if ts:
+            newest = ts[-1]
+            if t < newest - buffer_ms:
+                counts["late_dropped"] += 1
+                continue
+            pos = bisect.bisect_left(ts, t)
+            if pos < len(ts) and ts[pos] == t:
+                vals[pos] = v
+                counts["deduped"] += 1
+                continue
+            ts.insert(pos, t)
+            vals.insert(pos, v)
+        else:
+            ts.append(t)
+            vals.append(v)
+        if len(ts) > capacity:
+            del ts[: len(ts) - capacity]
+            del vals[: len(vals) - capacity]
+        counts["accepted"] += 1
+    return data, counts
+
+
+def store_state(store):
+    columns = {key: (s.ts.tolist(), s.values.tolist()) for key, s in store.all_series().items()}
+    st = store.stats
+    return columns, {"accepted": st.accepted, "deduped": st.deduped, "late_dropped": st.late_dropped,
+                     "rejected": st.rejected}
+
+
+def random_events(rng, n, buffer_ms):
+    keys = [MetricKey("10.0.0.3", "mysql", m) for m in ("a", "b", "c")]
+    newest = {k: 0 for k in keys}
+    seen = {k: [0] for k in keys}
+    step = max(1, buffer_ms // 5)
+    events = []
+    for _ in range(n):
+        key = rng.choice(keys)
+        roll = rng.random()
+        if roll < 0.1:
+            t = rng.choice(seen[key])  # a duplicate, possibly long evicted
+        elif roll < 0.3:
+            t = newest[key] - rng.randint(0, 2 * buffer_ms + 2)  # out of order or late
+        else:
+            t = newest[key] + step * rng.randint(1, 3)
+        t = max(t, 0)
+        newest[key] = max(newest[key], t)
+        seen[key].append(t)
+        events.append((key, t, rng.uniform(-1.0, 1.0)))
+    return events
+
+
+def batches(rng, events):
+    """Split events into random runs, grouped per key in arrival order."""
+    i = 0
+    while i < len(events):
+        size = rng.randint(1, 40)
+        columns = {}
+        for key, t, v in events[i : i + size]:
+            ts, vals = columns.setdefault(key, ([], []))
+            ts.append(t)
+            vals.append(v)
+        yield columns, size
+        i += size
+
+
+class TestAppendMany:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sequential_appends(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.choice([2, 3, 5, 20])
+        buffer_ms = rng.choice([0, 3, 10, 1000])
+        events = random_events(rng, 600, buffer_ms)
+        one = MetricStore(capacity_per_key=capacity, out_of_order_buffer_ms=buffer_ms)
+        kept_one = sum(one.append(MetricSample(t, *key, v)) for key, t, v in events)
+        many = MetricStore(capacity_per_key=capacity, out_of_order_buffer_ms=buffer_ms)
+        kept_many = sum(many.append_many(columns) for columns, _ in batches(rng, events))
+        want, counts = sequential_reference(events, capacity, buffer_ms)
+        assert store_state(one) == store_state(many)
+        columns, stats = store_state(many)
+        assert columns == want and stats == dict(counts, rejected=0)
+        assert kept_one == kept_many == counts["accepted"] + counts["deduped"]
+        assert counts["late_dropped"] and counts["deduped"]
+
+    def test_duplicate_of_evicted_point_is_accepted(self):
+        key = sample().key
+        ts, values = [10, 20, 30, 40, 10], [1.0, 2.0, 3.0, 4.0, 5.0]
+        many = MetricStore(capacity_per_key=3, out_of_order_buffer_ms=10_000)
+        many.append_many({key: (ts, values)})
+        one = MetricStore(capacity_per_key=3, out_of_order_buffer_ms=10_000)
+        for t, v in zip(ts, values):
+            one.append(sample(ts=t, value=v))
+        assert store_state(many) == store_state(one)
+        assert many.series(key).ts.tolist() == [20, 30, 40]
+        assert many.stats.accepted == 5 and many.stats.deduped == 0
+
+    def test_empty_key_not_created(self):
+        store = MetricStore()
+        assert store.append_many({sample().key: ([], [])}) == 0
+        assert store.keys() == []
+
+    def test_load_file_matches_sequential_appends(self, tmp_path):
+        paths = write_corpus(tmp_path)
+        stores = [MetricStore(capacity_per_key=500, out_of_order_buffer_ms=0) for _ in range(2)]
+        for store in stores:  # a newer point makes the older part of the file late
+            store.append(sample(ts=2_000_000, metric="mem_used"))
+        file_stats = stores[0].load_file(paths[0])
+        series, want_stats = load_metrics_file(paths[0])
+        for key, s in series.items():
+            for t, v in zip(s.ts.tolist(), s.values.tolist()):
+                stores[1].append(MetricSample(t, *key, v))
+        assert store_state(stores[0]) == store_state(stores[1])
+        assert file_stats == want_stats
+        assert stores[0].stats.late_dropped > 0
+
+
+# --- TCP framing ---
+
+
+@pytest.fixture
+def tcp_store():
+    config = IngestConfig(listen_endpoint="127.0.0.1:0")
+    store = MetricStore.from_config(config)
+    listener = IngestListener(config, store)
+    listener.start()
+    try:
+        yield store, listener.endpoint
+    finally:
+        listener.stop()
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+def line_bytes(ts, **kw):
+    return serialize_metric_line(sample(ts=ts, **kw)).encode("utf-8")
+
+
+class TestTcpFraming:
+    def test_record_split_across_sends(self, tcp_store):
+        store, endpoint = tcp_store
+        payload = line_bytes(1) + line_bytes(2)
+        cut = len(line_bytes(1)) + 17
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(payload[:cut])
+            time.sleep(0.05)  # let the first part arrive on its own
+            conn.sendall(payload[cut:])
+        assert wait_for(lambda: store.stats.accepted == 2)
+        assert store.series(sample().key).ts.tolist() == [1, 2]
+        assert store.stats.rejected == 0
+
+    def test_final_line_without_newline(self, tcp_store):
+        store, endpoint = tcp_store
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(line_bytes(1) + line_bytes(2).rstrip(b"\n"))
+        assert wait_for(lambda: store.stats.accepted == 2)
+        assert store.stats.rejected == 0
+
+    def test_undecodable_line_between_valid_ones(self, tcp_store):
+        store, endpoint = tcp_store
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(line_bytes(1) + b"junk\n" + b'{"ts_ms": \xff\xfe}\n' + b"more junk\n" + line_bytes(2))
+        assert wait_for(lambda: store.stats.accepted == 2)
+        assert store.stats.rejected == 3
+        assert store.stats.errors == [
+            "bad record structure: 'junk'", "undecodable bytes", "bad record structure: 'more junk'"]
+
+    @pytest.mark.parametrize("length", [MAX_LINE_BYTES + 1, 1 << 20], ids=["cap_plus_one", "one_mib"])
+    def test_over_long_line_rejected_once(self, tcp_store, length):
+        store, endpoint = tcp_store
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(b"x" * length)
+            conn.sendall(b"\n" + line_bytes(1))
+            conn.sendall(line_bytes(2))
+        assert wait_for(lambda: store.stats.accepted == 2)
+        assert store.stats.rejected == 1
+        assert store.stats.errors == [f"line longer than {MAX_LINE_BYTES} bytes"]
+
+    def test_line_at_the_cap_is_decoded(self, tcp_store):
+        store, endpoint = tcp_store
+        padded = line_bytes(1).rstrip(b"\n").ljust(MAX_LINE_BYTES) + b"\n"
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(padded + line_bytes(2))
+        assert wait_for(lambda: store.stats.accepted == 2)
+        assert store.stats.rejected == 0
+
+    def test_over_long_final_line_counted_at_close(self, tcp_store):
+        store, endpoint = tcp_store
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(line_bytes(1) + b"x" * (1 << 20))
+        assert wait_for(lambda: store.stats.accepted == 1 and store.stats.rejected == 1)
+        assert store.stats.errors == [f"line longer than {MAX_LINE_BYTES} bytes"]
+
+    def test_concurrent_clients_lose_no_count(self, tcp_store):
+        store, endpoint = tcp_store
+        clients, records = 6, 3000  # more connections than cores
+        shared = MetricKey("10.0.0.3", "mysql", "shared")
+
+        def send(c):
+            parts = []
+            for t in range(records):
+                parts.append(line_bytes(t, metric=f"m{c}"))
+                parts.append(line_bytes(t * clients + c, metric="shared"))
+                if t % 50 == 0:
+                    parts.append(b"junk %d\n" % c)
+            with socket.create_connection(endpoint) as conn:
+                conn.sendall(b"".join(parts))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=send, args=(c,)) for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert wait_for(lambda: store.stats.accepted + store.stats.late_dropped == 2 * clients * records
+                            and store.stats.rejected == clients * records // 50, timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        for c in range(clients):
+            assert store.series(MetricKey("10.0.0.3", "mysql", f"m{c}")).ts.tolist() == list(range(records))
+        assert len(store.series(shared)) == clients * records - store.stats.late_dropped
+        assert store.stats.deduped == 0 and len(store.stats.errors) == 20

@@ -28,7 +28,7 @@ from .config import EngineConfig, load_config
 from .entropy import EntropyConfig
 from .errors import EngineError, MalformedRecord, UnknownMethod
 from .faultsim import generate_random_spec, load_spec, simulate
-from .ingest import IngestListener, load_metrics_file
+from .ingest import IngestListener, load_metrics_file, parse_endpoint
 from .model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, load_topology
 from .pipeline import DiagnosisSettings, diagnose
 from .rootcause import AnomalyConfig
@@ -329,6 +329,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    try:
+        api_host, api_port = parse_endpoint(args.listen)
+    except ValueError as exc:
+        raise MalformedRecord(f"--listen: {exc}") from exc
     config = load_config(args.config) if args.config else EngineConfig()
     if args.metrics_listen:
         try:
@@ -338,8 +342,7 @@ def cmd_serve(args) -> int:
     runtime = EngineRuntime(config)
     listener = IngestListener(config.ingest, runtime.store)
     listener.start()
-    host, _, port = args.listen.partition(":")
-    api = ControlApiServer(runtime, host=host or "127.0.0.1", port=int(port or 8080))
+    api = ControlApiServer(runtime, host=api_host, port=api_port)
     api.start()
     runtime.start_maintenance_loop()
     print(

@@ -48,16 +48,16 @@ class IngestConfig:
             raise ValueError("out_of_order_buffer_ms must be >= 0")
         if self.store_capacity_per_key < 2:
             raise ValueError("store_capacity_per_key must be >= 2")
-        self.host_port()
+        parse_endpoint(self.listen_endpoint)
 
-    def host_port(self) -> tuple[str, int]:
-        host, _, port = str(self.listen_endpoint).rpartition(":")
-        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
-            raise ValueError(
-                f"listen_endpoint must be host:port with an integer port in 0-65535, "
-                f"got {self.listen_endpoint!r}"
-            )
-        return host or "127.0.0.1", int(port)
+
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """Split host:port; the port is ASCII digits in 0-65535 and an empty
+    host means 127.0.0.1."""
+    host, _, port = str(endpoint).rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"expected host:port with an integer port in 0-65535, got {endpoint!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def parse_metric_line(line: str) -> MetricSample:
@@ -146,24 +146,47 @@ def _decode_line(line: str, stats: IngestStats, columns: Columns) -> None:
     values.append(sample.value)
 
 
+def _undecodable(text: str) -> bool:
+    """True when `text`, decoded with errors="surrogateescape", held bytes
+    that are not UTF-8 (they became lone surrogates)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> None:
     """Append the records of `lines` to their keys' columns in line order
     and count each rejected line in `stats`, exactly as calling
     parse_metric_line on every line would.
 
     `lines` are stripped and hold no blanks or comments (see record_lines).
-    The batch is parsed with one json.loads. That is only done when every
-    line starts with '{', ends with '}' and holds no other brace: a JSON
-    string cannot hold a raw newline, so each line is then exactly one
-    array element. A record whose fields have the exact types, a ts_ms in
-    range, a finite value and a key already in `columns` (or valid) is
-    appended directly; any other line, or every line of a batch that does
-    not parse, goes through parse_metric_line.
+    They are decoded with errors="surrogateescape", so a line that held
+    bytes that are not UTF-8 counts one "undecodable bytes" rejection in
+    its place. The batch is parsed with one json.loads. That is only done
+    when every line starts with '{', ends with '}' and holds no other
+    brace: a JSON string cannot hold a raw newline, so each line is then
+    exactly one array element. A record whose fields have the exact types,
+    a ts_ms in range, a finite value and a key already in `columns` (or
+    valid) is appended directly; any other line, or every line of a batch
+    that does not parse, goes through parse_metric_line.
     """
     n = len(lines)
     if not n:
         return
     text = "[" + ",\n".join(lines) + "]"
+    if not text.isascii() and _undecodable(text):
+        run: list[str] = []
+        for line in lines:
+            if _undecodable(line):
+                decode_records(run, stats, columns)
+                run = []
+                stats.record_error("undecodable bytes")
+            else:
+                run.append(line)
+        decode_records(run, stats, columns)
+        return
     docs = None
     if (text[1] == "{" and text[-2] == "}" and text.count("},\n{") == n - 1
             and text.count("{") == n and text.count("}") == n):
@@ -203,7 +226,7 @@ def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStat
     columns: Columns = {}
     for path in paths:
         try:
-            fh = open(path, "r", encoding="utf-8")
+            fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise FileUnreadable(f"cannot read {path}: {exc}") from exc
         with fh:
@@ -347,34 +370,14 @@ class MetricStore:
         return stats
 
 
-def _decode_chunk(chunk: bytes, stats: IngestStats, columns: Columns) -> None:
-    """Decode newline-separated lines; a line that is not UTF-8 counts
-    one rejection in its place."""
-    try:
-        text = chunk.decode("utf-8")
-    except UnicodeDecodeError:
-        text = None
-    if text is not None:
-        decode_records(record_lines(text.split("\n")), stats, columns)
-        return
-    run: list[str] = []
-    for raw in chunk.split(b"\n"):
-        try:
-            run.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            decode_records(record_lines(run), stats, columns)
-            run = []
-            stats.record_error("undecodable bytes")
-    decode_records(record_lines(run), stats, columns)
-
-
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         store: MetricStore = self.server.store  # type: ignore[attr-defined]
         columns: Columns = {}
         rejected = IngestStats()  # this read's rejections; the store counts them with its records
         for chunk in self._chunks(rejected):
-            _decode_chunk(chunk, rejected, columns)
+            text = chunk.decode("utf-8", "surrogateescape")
+            decode_records(record_lines(text.split("\n")), rejected, columns)
             store.append_many(columns, rejected)
             for ts, values in columns.values():
                 del ts[:]
@@ -417,7 +420,7 @@ class IngestListener:
     """Threaded TCP listener feeding a MetricStore."""
 
     def __init__(self, config: IngestConfig, store: MetricStore) -> None:
-        host, port = config.host_port()
+        host, port = parse_endpoint(config.listen_endpoint)
         try:
             self._server = socketserver.ThreadingTCPServer(
                 (host, port), _LineHandler, bind_and_activate=False

@@ -21,11 +21,13 @@ from .errors import EmptyInput
 
 MAX_TS_MS = 2**63 - 1  # stored as int64
 
-_DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+_DOTTED_QUAD = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
 
 
 def is_dotted_quad(ip: str) -> bool:
-    m = _DOTTED_QUAD.match(ip)
+    """Exactly four ASCII decimal octets 0-255: no trailing newline and no
+    other Unicode digits, so one address has one spelling as a key."""
+    m = _DOTTED_QUAD.fullmatch(ip)
     if not m:
         return False
     return all(0 <= int(octet) <= 255 for octet in m.groups())

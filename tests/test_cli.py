@@ -317,6 +317,15 @@ class TestServeConfig:
         assert code == 1
         assert err.startswith("error: ") and section in err
 
+    @pytest.mark.parametrize("listen", ["a:b", "127.0.0.1:65536", "127.0.0.1"])
+    def test_bad_listen_is_domain_error(self, capsys, monkeypatch, listen):
+        # checked before anything starts listening
+        monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("endpoint accepted"))
+        monkeypatch.setattr(cli, "IngestListener", lambda *a: pytest.fail("listener started"))
+        code, _, err = run_cli(capsys, "serve", "--listen", listen, "--metrics-listen", "127.0.0.1:0")
+        assert code == 1
+        assert err.startswith("error: --listen: ") and "0-65535" in err
+
     def test_bad_metrics_listen_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("endpoint accepted"))
         code, _, err = run_cli(capsys, "serve", "--listen", "127.0.0.1:0", "--metrics-listen", "nope")

@@ -197,6 +197,45 @@ class TestMatchCountOracle:
             assert entropy._match_counts(x, 2, r) == brute_force_counts(list(x), 2, r)
 
 
+class TestBandedCounter:
+    """Cases the banded comparison in _match_counts has to get right."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["constant_tail", "descending"])
+    def test_band_running_into_the_padding(self, m, kind):
+        # the last sorted templates have wide bands: their partner slots
+        # run past the last template into the NaN padding
+        rng = np.random.default_rng(m)
+        if kind == "constant_tail":
+            x = np.concatenate([rng.uniform(size=50), np.full(30, 2.0)])
+        else:
+            x = np.sort(rng.uniform(size=80))[::-1]
+        r = 0.3 * float(np.std(x))
+        assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_chunk_smaller_than_one_band(self, monkeypatch, chunk):
+        monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
+        x = oracle_input("three_level", 70, seed=chunk)
+        r = 0.2 * float(np.std(x))
+        first = np.sort(x[:-2])
+        widest = int((np.searchsorted(first, first + r, side="right") - np.arange(1, first.size + 1)).max())
+        assert widest > 4 * chunk
+        assert entropy._match_counts(x, 2, r) == brute_force_counts(list(x), 2, r)
+
+    def test_tied_store_capacity_series_in_bounded_memory(self):
+        # three distinct values: most template pairs tie on the first point
+        x = np.random.default_rng(9).integers(0, 3, size=20_000).astype(float)
+        tracemalloc.start()
+        try:
+            curve = mse_curve(x, TestMseCurve.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(e.defined for e in curve)
+        assert peak < 64 * 2**20
+
+
 class TestMseCurve:
     CFG = EntropyConfig(m=2, r_fraction=0.15, max_scale=10, window_len=600)
 

@@ -139,6 +139,49 @@ class TestLoadFile(object):
         with pytest.raises(FileUnreadable):
             load_metrics_file(tmp_path / "does-not-exist.ndjson")
 
+    def test_undecodable_line_counted_not_fatal(self, tmp_path):
+        # counted as the socket counts it, instead of a UnicodeDecodeError
+        path = tmp_path / "m.ndjson"
+        path.write_bytes(serialize_metric_line(sample(ts=1)).encode("utf-8") + b"\xff\n")
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 1 and stats.rejected == 1
+        assert stats.errors == ["undecodable bytes"]
+        assert next(iter(series.values())).ts.tolist() == [1]
+
+    def test_undecodable_line_among_non_ascii_ones(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        celsius = serialize_metric_line(sample(ts=1, metric="temp_°C")).encode("utf-8")
+        bad = serialize_metric_line(sample(ts=2)).encode("utf-8").replace(b"mysql", b"my\xe9sql")
+        path.write_bytes(celsius + bad + b"garbage\n" + celsius.replace(b": 1,", b": 3,"))
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 2 and stats.rejected == 2
+        assert stats.errors == ["undecodable bytes", "bad record structure: 'garbage'"]
+        assert list(series) == [MetricKey("10.0.0.3", "mysql", "temp_°C")]
+
+    def test_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        lines = [serialize_metric_line(sample(ts=ts)).rstrip("\n") for ts in (1, 2, 3)]
+        path.write_bytes(f"{lines[0]}\r\n{lines[1]}\r{lines[2]}\n".encode("utf-8"))
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 3 and stats.rejected == 0
+        assert next(iter(series.values())).ts.tolist() == [1, 2, 3]
+
+
+class TestAddress:
+    @pytest.mark.parametrize(
+        "ip", ["10.0.0.3\n", "\u0661\u0660.\u0660.\u0660.\u0663"], ids=["trailing_newline", "arabic_indic_digits"]
+    )
+    def test_only_ascii_dotted_quad_accepted(self, tmp_path, ip):
+        # either spelling would otherwise become a second key for 10.0.0.3
+        line = json.dumps({"ts_ms": 1, "ip": ip, "service": "mysql", "metric": "cpu_util", "value": 0.5})
+        with pytest.raises(MalformedRecord, match="dotted quad"):
+            parse_metric_line(line)
+        path = tmp_path / "m.ndjson"
+        path.write_text(line + "\n" + serialize_metric_line(sample(ts=2)), encoding="utf-8")
+        series, stats = load_metrics_file(path)
+        assert stats.accepted == 1 and stats.rejected == 1
+        assert list(series) == [sample().key]
+
 
 class TestStore:
     def test_monotone_timestamps(self):

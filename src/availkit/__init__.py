@@ -63,7 +63,6 @@ from .model import (
     ServiceNode,
     align,
     validate_topology,
-    window,
 )
 from .pipeline import DiagnosisSettings, diagnose
 from .rootcause import (

@@ -49,6 +49,13 @@ def _parse_key(text: str) -> MetricKey:
     return MetricKey(*parts)
 
 
+def _finite(cell) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError("value is NaN or infinite")
+    return value
+
+
 def _load_series(path: str, key: str | None = None) -> MetricSeries:
     """One series from a CSV (value, or ts,value per line) or a metrics
     ndjson file (single key, or the one named by --key)."""
@@ -83,15 +90,13 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
             cells = stripped.split(",")
             try:
                 if len(cells) == 1:
-                    values.append(float(cells[0]))
+                    values.append(_finite(cells[0]))
                     ts.append(len(ts))
                 else:
-                    values.append(float(cells[1]))
+                    values.append(_finite(cells[1]))
                     ts.append(int(float(cells[0])))
                     if not -(2**63) <= ts[-1] < 2**63:
                         raise ValueError("timestamp outside int64")
-                if not math.isfinite(values[-1]):
-                    raise ValueError("value is NaN or infinite")
             except (ValueError, OverflowError) as exc:
                 raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
     if not ts:
@@ -101,18 +106,27 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
 
 def _load_matrix(path: str) -> MetricMatrix:
     """Header row of metric names, one row of comma-separated cells per
-    tick; empty cells are absent."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise EngineError(f"{path} is empty")
-    header = [h.strip() for h in lines[0].split(",")]
+    tick; empty cells are absent, every other cell a finite number."""
+    header: list[str] | None = None
     rows = []
-    for ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != len(header):
-            raise MalformedRecord(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-        rows.append([float(c) if c else math.nan for c in cells])
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            if not line.strip() or line.startswith("#"):
+                continue
+            cells = [c.strip() for c in line.rstrip("\n").split(",")]
+            if header is None:
+                header = cells
+                continue
+            if len(cells) != len(header):
+                raise MalformedRecord(
+                    f"{path}:{i + 1}: row has {len(cells)} cells, header has {len(header)}"
+                )
+            try:
+                rows.append([_finite(c) if c else math.nan for c in cells])
+            except ValueError as exc:
+                raise MalformedRecord(f"{path}:{i + 1}: {line.strip()!r}") from exc
+    if header is None:
+        raise EngineError(f"{path} is empty")
     return MetricMatrix(
         interval_ms=1000, start_ms=0, columns=header, values=np.array(rows, dtype=float)
     )
@@ -129,11 +143,11 @@ def _load_history(path: str) -> list[tuple[int, float]]:
             try:
                 if stripped.startswith("{"):
                     doc = json.loads(stripped)
-                    out.append((int(doc["ts_ms"]), float(doc["score"])))
+                    out.append((int(doc["ts_ms"]), _finite(doc["score"])))
                 else:
                     ts, score = stripped.split(",")
-                    out.append((int(float(ts)), float(score)))
-            except (ValueError, OverflowError, KeyError) as exc:
+                    out.append((int(float(ts)), _finite(score)))
+            except (ValueError, TypeError, OverflowError, KeyError) as exc:
                 raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
     return out
 

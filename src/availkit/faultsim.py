@@ -15,6 +15,14 @@ white observation-noise scale, and a deterministic seasonal level
 scenarios use them to give healthy traffic a regular texture that
 saturation faults then disrupt, which is what makes entropy-based health
 scoring observable at all.
+
+Draw order is part of the output contract: per tick, the generator yields
+p innovation draws, then p observation-noise draws (p = all metrics, in
+column order). The simulator draws, applies faults and scores the down
+rule a block of ticks at a time, and steps tick by tick only through the
+lagged recursion; the files it writes are byte-identical to those of the
+earlier one-tick-at-a-time loop (pinned by the tick-by-tick oracle in
+tests/test_faultsim.py).
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ import numpy as np
 
 from .availability import UpDownEvent, serialize_event_line
 from .errors import DegenerateSpec, InvalidSpec
-from .ingest import serialize_metric_line
 from .model import (
     MetricKey,
     MetricSample,
@@ -38,6 +45,10 @@ from .model import (
     topological_order,
     validate_topology,
 )
+
+
+_SIM_BLOCK = 512    # ticks of noise and fault effects held at once
+_WRITE_BLOCK = 128  # ticks of metrics.ndjson lines formatted at once
 
 
 class FaultKind(Enum):
@@ -286,86 +297,106 @@ class SimFrames:
     stats: StationaryStats
 
 
+def _couplings_per_tick(
+    coupling: np.ndarray, rescales: list[tuple[int, float]], active: np.ndarray
+) -> list[np.ndarray]:
+    """Each tick's coupling matrix: rows of the active rescales multiplied in
+    slot order, one matrix per distinct pattern of active slots."""
+    if not active.any():
+        return [coupling] * len(active)
+    patterns, which = np.unique(active, axis=0, return_inverse=True)
+    matrices = []
+    for pattern in patterns:
+        scaled = coupling.copy()
+        for on, (row, factor) in zip(pattern, rescales):
+            if on:
+                scaled[row, :] *= factor
+        matrices.append(scaled)
+    return [matrices[k] for k in which.reshape(-1).tolist()]
+
+
 def simulate_frames(spec: SimSpec) -> SimFrames:
     """Run the simulation and keep everything in memory."""
     spec.validate()
     asm = _assemble(spec)
     stats = stationary_stats(spec)
     p = len(asm.columns)
+    n_ticks = spec.duration_ticks
     rng = np.random.default_rng(spec.seed)
 
     col_index = {key: g for g, key in enumerate(asm.columns)}
-    service_of: dict[ServiceNode, list[int]] = {}
-    for g, key in enumerate(asm.columns):
-        service_of.setdefault(ServiceNode(key.ip, key.service), []).append(g)
-
-    def fault_globals(fault: FaultEvent) -> int:
+    # (fault, column, slot): slots number the slowdowns that rescale a
+    # coupling row, in spec order; None for every other fault
+    faults = []
+    rescales: list[tuple[int, float]] = []  # (coupling row, factor) per slot
+    for fault in spec.faults:
         node, metric = fault.target
-        return col_index[MetricKey(node.ip, node.service, metric)]
+        slot = None
+        if fault.kind is FaultKind.dependency_slowdown and node in asm.coupled_rows:
+            slot = len(rescales)
+            rescales.append((asm.coupled_rows[node], 1.0 + fault.magnitude))
+        faults.append((fault, col_index[MetricKey(node.ip, node.service, metric)], slot))
+    services = [model.node for model in spec.services]  # column blocks start at asm.offsets
+    limit = 6.0 * stats.std
 
-    values = np.zeros((spec.duration_ticks, p))
+    values = np.empty((n_ticks, p))
     eps = np.zeros(p)
     u = np.zeros(p)
-    events: list[UpDownEvent] = []
-    state_down = {node: False for node in spec.topology.nodes}
-    for node in spec.topology.nodes:
-        events.append(UpDownEvent(ts_ms=0, target=node, state="up"))
+    down = np.zeros(len(services), dtype=bool)
+    events = [UpDownEvent(ts_ms=0, target=node, state="up") for node in spec.topology.nodes]
 
-    for t in range(spec.duration_ticks):
-        shift = np.zeros(p)
-        s_eff = asm.noise.copy()
-        mn_eff = asm.measure.copy()
-        coupling = asm.coupling
-        coupling_scaled = False
-        for fault in spec.faults:
-            g = fault_globals(fault)
+    for lo in range(0, n_ticks, _SIM_BLOCK):
+        hi = min(n_ticks, lo + _SIM_BLOCK)
+        ticks = np.arange(lo, hi)
+        draws = rng.normal(size=(hi - lo, 2, p))  # per tick: innovations, then observation noise
+        shift = np.zeros((hi - lo, p))
+        s_eff = np.tile(asm.noise, (hi - lo, 1))
+        mn_eff = np.tile(asm.measure, (hi - lo, 1))
+        rescaled = np.zeros((hi - lo, len(rescales)), dtype=bool)
+        for fault, g, slot in faults:
+            # a config error is a permanent step: it outlasts its end tick
+            stop = n_ticks if fault.kind is FaultKind.config_error else fault.end_tick
+            a, b = max(fault.start_tick, lo) - lo, min(stop, hi) - lo
+            if a >= b:
+                continue
             sigma_g = stats.std[g]
-            active = fault.start_tick <= t < fault.end_tick
-            if fault.kind is FaultKind.config_error:
-                if t >= fault.start_tick:  # permanent step
-                    shift[g] += fault.magnitude * sigma_g
-                continue
-            if not active:
-                continue
-            if fault.kind is FaultKind.cpu_hog:
-                shift[g] += fault.magnitude * sigma_g
-            elif fault.kind is FaultKind.mem_leak:
-                shift[g] += fault.magnitude * sigma_g * (t - fault.start_tick) / 100.0
+            if fault.kind is FaultKind.mem_leak:
+                shift[a:b, g] += fault.magnitude * sigma_g * (ticks[a:b] - fault.start_tick) / 100.0
             elif fault.kind is FaultKind.io_saturation:
-                if mn_eff[g] > 0.0:
-                    mn_eff[g] *= 1.0 + fault.magnitude
-                else:
-                    s_eff[g] *= 1.0 + fault.magnitude
-            elif fault.kind is FaultKind.dependency_slowdown:
-                shift[g] += fault.magnitude * sigma_g
-                row = asm.coupled_rows.get(fault.target[0])
-                if row is not None:
-                    if not coupling_scaled:
-                        coupling = asm.coupling.copy()
-                        coupling_scaled = True
-                    coupling[row, :] *= 1.0 + fault.magnitude
-        eta = rng.normal(size=p) * s_eff
-        eps = asm.phi * eps + eta
-        u = asm.minv @ (coupling @ u + eps + shift)
-        seasonal = asm.seasonal_at(t)
-        obs = asm.base + seasonal + u + rng.normal(size=p) * mn_eff
-        values[t] = obs
+                # observation noise grows where there is some, else the innovations
+                noisy = mn_eff[a:b, g] > 0.0
+                mn_eff[a:b, g][noisy] *= 1.0 + fault.magnitude
+                s_eff[a:b, g][~noisy] *= 1.0 + fault.magnitude
+            else:
+                shift[a:b, g] += fault.magnitude * sigma_g
+                if slot is not None:
+                    rescaled[a:b, slot] = True
 
-        if t >= 1:
-            expected = stats.mean + seasonal  # no-fault mean at this tick
-            for node, indices in service_of.items():
-                down = bool(
-                    np.any(np.abs(obs[indices] - expected[indices]) > 6.0 * stats.std[indices])
+        eta = draws[:, 0, :] * s_eff
+        u_block = np.empty((hi - lo, p))
+        for i, coupling in enumerate(_couplings_per_tick(asm.coupling, rescales, rescaled)):
+            eps = asm.phi * eps + eta[i]
+            u = asm.minv @ (coupling @ u + eps + shift[i])
+            u_block[i] = u
+        seasonal = asm.seasonal_at(ticks[:, None])
+        obs = asm.base + seasonal + u_block + draws[:, 1, :] * mn_eff
+        values[lo:hi] = obs
+
+        # six-sigma down rule from tick 1 on; tick 0 keeps the initial state
+        exceed = np.abs(obs - (stats.mean + seasonal)) > limit
+        state = np.logical_or.reduceat(exceed, asm.offsets, axis=1)
+        if lo == 0:
+            state[0] = down
+        flips = state != np.vstack([down, state[:-1]])
+        for i, s in zip(*np.nonzero(flips)):
+            events.append(
+                UpDownEvent(
+                    ts_ms=(lo + int(i)) * spec.tick_ms,
+                    target=services[s],
+                    state="down" if state[i, s] else "up",
                 )
-                if down != state_down[node]:
-                    state_down[node] = down
-                    events.append(
-                        UpDownEvent(
-                            ts_ms=t * spec.tick_ms,
-                            target=node,
-                            state="down" if down else "up",
-                        )
-                    )
+            )
+        down = state[-1]
 
     labels = [
         {
@@ -391,6 +422,43 @@ class SimOutput:
     n_ticks: int
 
 
+def _write_metrics(path: Path, frames: SimFrames, tick_ms: int) -> int:
+    """Write frames.values as ingestion lines, tick by tick in column order.
+
+    Each line equals serialize_metric_line of the same sample: names go
+    through json.dumps and a finite float's %r is what json.dumps emits.
+    The MetricSample rules are checked once per column (at the last, largest
+    timestamp) and once for all values, before anything is written.
+    """
+    n_ticks, p = frames.values.shape
+    last_ts = (n_ticks - 1) * tick_ms
+    for key in frames.columns:  # raises MetricSample's ValueError for a bad key or ts
+        MetricSample(ts_ms=last_ts, ip=key.ip, service=key.service, metric=key.metric, value=0.0)
+    finite = np.isfinite(frames.values)
+    if not finite.all():  # the same for the first non-finite value
+        key = frames.columns[0]
+        bad = float(frames.values[~finite][0])
+        MetricSample(ts_ms=0, ip=key.ip, service=key.service, metric=key.metric, value=bad)
+
+    def literal(text: str) -> str:  # a JSON string, made safe for %-formatting
+        return json.dumps(text).replace("%", "%%")
+
+    tick_template = "".join(
+        '{"ts_ms": %r, "ip": ' + literal(key.ip) + ', "service": ' + literal(key.service)
+        + ', "metric": ' + literal(key.metric) + ', "value": %r}\n'
+        for key in frames.columns
+    )
+    args: list = [None] * (2 * p)  # ts and value of each column, in line order
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, n_ticks, _WRITE_BLOCK):
+            hi = min(n_ticks, lo + _WRITE_BLOCK)
+            for t, row in zip(range(lo, hi), frames.values[lo:hi].tolist()):
+                args[0::2] = [t * tick_ms] * p
+                args[1::2] = row
+                fh.write(tick_template % tuple(args))
+    return n_ticks * p
+
+
 def simulate(spec: SimSpec, out_dir) -> SimOutput:
     """Run the simulation and write the four output files.
 
@@ -403,18 +471,7 @@ def simulate(spec: SimSpec, out_dir) -> SimOutput:
     frames = simulate_frames(spec)
 
     metrics_path = out / "metrics.ndjson"
-    n_samples = 0
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        for t in range(frames.values.shape[0]):
-            ts = t * spec.tick_ms
-            row = frames.values[t]
-            for g, key in enumerate(frames.columns):
-                sample = MetricSample(
-                    ts_ms=ts, ip=key.ip, service=key.service, metric=key.metric,
-                    value=float(row[g]),
-                )
-                fh.write(serialize_metric_line(sample))
-                n_samples += 1
+    n_samples = _write_metrics(metrics_path, frames, spec.tick_ms)
 
     events_path = out / "events.ndjson"
     with open(events_path, "w", encoding="utf-8") as fh:

@@ -421,15 +421,19 @@ class IngestListener:
 
     def __init__(self, config: IngestConfig, store: MetricStore) -> None:
         host, port = parse_endpoint(config.listen_endpoint)
+        server = None
         try:
-            self._server = socketserver.ThreadingTCPServer(
+            server = socketserver.ThreadingTCPServer(
                 (host, port), _LineHandler, bind_and_activate=False
             )
-            self._server.allow_reuse_address = True
-            self._server.server_bind()
-            self._server.server_activate()
+            server.allow_reuse_address = True
+            server.server_bind()
+            server.server_activate()
         except OSError as exc:
+            if server is not None:
+                server.server_close()
             raise BindFailure(f"cannot bind {config.listen_endpoint}: {exc}") from exc
+        self._server = server
         self._server.store = store  # type: ignore[attr-defined]
         self._server.daemon_threads = True
         self._thread: threading.Thread | None = None

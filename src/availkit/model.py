@@ -1,7 +1,7 @@
 """Core data types: samples, series, aligned matrices and dependency graphs.
 
 Everything here is an immutable-ish value object plus a few pure helpers
-(align, window, validate_topology). Timestamps are integer epoch
+(align, validate_topology). Timestamps are integer epoch
 milliseconds throughout; missing matrix cells are NaN. A series is
 columnar: one int64 timestamp array and one float64 value array, which
 every consumer reads directly.
@@ -322,20 +322,6 @@ def align(
         columns=[s.key for s in series],
         values=values,
     )
-
-
-def window(series: MetricSeries, length: int, stride: int) -> list[MetricSeries]:
-    """Slice a series into full windows of `length` points every `stride`."""
-    if length < 1 or stride < 1:
-        raise ValueError("length and stride must be >= 1")
-    n = len(series)
-    out: list[MetricSeries] = []
-    k = 0
-    while k * stride + length <= n:
-        lo = k * stride
-        out.append(MetricSeries(series.key, series.ts[lo : lo + length], series.values[lo : lo + length]))
-        k += 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,27 @@ class TestPcCommand:
         want["dropped"] = list(direct.dropped)
         assert cli_doc == want
 
+    def test_non_numeric_cell_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n# comment\n" + "".join(f"{i},{i % 3}\n" for i in range(50)) + "7,abc\n")
+        code, out, err = run_cli(capsys, "pc", "--input", str(path))
+        assert code == 1 and out == ""
+        assert f"{path}:53:" in err and "Traceback" not in err
+
+    def test_non_finite_cell_is_domain_error_and_empty_cell_is_absent(self, tmp_path, capsys):
+        rows = "".join(f"{i},{(i * 7) % 11}\n" for i in range(50))
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n" + rows + "3,\n")  # an empty cell is an absent value
+        code, _, _ = run_cli(capsys, "analyze", "--method", "correlation", "--input", str(path))
+        assert code == 0
+        for cell in ("inf", "-inf", "nan"):
+            path.write_text("a,b\n" + rows + f"3,{cell}\n")
+            code, out, err = run_cli(
+                capsys, "analyze", "--method", "correlation", "--input", str(path)
+            )
+            assert code == 1 and out == ""
+            assert f"{path}:52:" in err
+
     def test_out_of_bounds_alpha_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"
         path.write_text("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(200)))
@@ -235,6 +256,19 @@ class TestAvailabilityAndForecast:
         code, _, err = run_cli(capsys, "forecast", "--input", str(path), "--theta", "0.6")
         assert code == 1
         assert "history.csv:2" in err
+
+    def test_forecast_non_finite_score_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        for score in ("nan", "inf"):
+            path.write_text(f"0,0.1\n1000,0.2\n2000,{score}\n")
+            code, out, err = run_cli(capsys, "forecast", "--input", str(path), "--theta", "1")
+            assert code == 1 and out == ""
+            assert "h.csv:3" in err
+        path = tmp_path / "h.ndjson"
+        for score in ("NaN", "null"):
+            path.write_text('{"ts_ms": 0, "score": 0.1}\n{"ts_ms": 1000, "score": %s}\n' % score)
+            code, _, err = run_cli(capsys, "forecast", "--input", str(path), "--theta", "1")
+            assert code == 1 and "h.ndjson:2" in err
 
 
 class TestMethodsAndAnalyze:

@@ -4,11 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from availkit.availability import load_event_log
+from availkit.availability import UpDownEvent, load_event_log
 from availkit.errors import DegenerateSpec, InvalidSpec
 from availkit.faultsim import (
+    _SIM_BLOCK,
     FaultEvent,
     FaultKind,
+    ServiceModel,
+    SimSpec,
+    _assemble,
     generate_random_spec,
     load_spec,
     save_spec,
@@ -16,9 +20,18 @@ from availkit.faultsim import (
     simulate_frames,
     spec_from_dict,
     spec_to_dict,
+    stationary_stats,
 )
-from availkit.ingest import load_metrics_file
-from availkit.scenarios import DB, three_tier_spec, three_tier_with_fault
+from availkit.ingest import load_metrics_file, serialize_metric_line
+from availkit.model import MetricSample, ServiceDependencyGraph, ServiceNode
+from availkit.scenarios import (
+    APP,
+    DB,
+    WEB,
+    degradation_spec,
+    three_tier_spec,
+    three_tier_with_fault,
+)
 
 
 class TestSpecValidation:
@@ -113,6 +126,179 @@ class TestSimulate:
         assert len(series) == n_metrics
         assert all(len(s) == 40 for s in series.values())
         assert out.n_samples == 40 * n_metrics
+
+
+def reference_frames(spec):
+    """The simulator stepped one tick at a time: the oracle for the blocked
+    simulate_frames. Per tick it draws p innovations, then p observations."""
+    asm = _assemble(spec)
+    stats = stationary_stats(spec)
+    p = len(asm.columns)
+    rng = np.random.default_rng(spec.seed)
+    col_index = {key: g for g, key in enumerate(asm.columns)}
+    service_of = {}
+    for g, key in enumerate(asm.columns):
+        service_of.setdefault(ServiceNode(key.ip, key.service), []).append(g)
+
+    values = np.zeros((spec.duration_ticks, p))
+    eps = np.zeros(p)
+    u = np.zeros(p)
+    events = [UpDownEvent(ts_ms=0, target=node, state="up") for node in spec.topology.nodes]
+    state_down = {node: False for node in spec.topology.nodes}
+    for t in range(spec.duration_ticks):
+        shift = np.zeros(p)
+        s_eff = asm.noise.copy()
+        mn_eff = asm.measure.copy()
+        coupling = asm.coupling
+        coupling_scaled = False
+        for fault in spec.faults:
+            node, metric = fault.target
+            g = col_index[(node.ip, node.service, metric)]
+            sigma_g = stats.std[g]
+            active = fault.start_tick <= t < fault.end_tick
+            if fault.kind is FaultKind.config_error:
+                if t >= fault.start_tick:
+                    shift[g] += fault.magnitude * sigma_g
+                continue
+            if not active:
+                continue
+            if fault.kind is FaultKind.cpu_hog:
+                shift[g] += fault.magnitude * sigma_g
+            elif fault.kind is FaultKind.mem_leak:
+                shift[g] += fault.magnitude * sigma_g * (t - fault.start_tick) / 100.0
+            elif fault.kind is FaultKind.io_saturation:
+                if mn_eff[g] > 0.0:
+                    mn_eff[g] *= 1.0 + fault.magnitude
+                else:
+                    s_eff[g] *= 1.0 + fault.magnitude
+            elif fault.kind is FaultKind.dependency_slowdown:
+                shift[g] += fault.magnitude * sigma_g
+                row = asm.coupled_rows.get(node)
+                if row is not None:
+                    if not coupling_scaled:
+                        coupling = asm.coupling.copy()
+                        coupling_scaled = True
+                    coupling[row, :] *= 1.0 + fault.magnitude
+        eta = rng.normal(size=p) * s_eff
+        eps = asm.phi * eps + eta
+        u = asm.minv @ (coupling @ u + eps + shift)
+        seasonal = asm.seasonal_at(t)
+        obs = asm.base + seasonal + u + rng.normal(size=p) * mn_eff
+        values[t] = obs
+        if t >= 1:
+            expected = stats.mean + seasonal
+            for node, indices in service_of.items():
+                down = bool(
+                    np.any(np.abs(obs[indices] - expected[indices]) > 6.0 * stats.std[indices])
+                )
+                if down != state_down[node]:
+                    state_down[node] = down
+                    events.append(UpDownEvent(
+                        ts_ms=t * spec.tick_ms, target=node, state="down" if down else "up"
+                    ))
+    return values, events
+
+
+B = _SIM_BLOCK
+
+
+def _smoothed_spec():
+    spec = three_tier_spec(seed=19, duration_ticks=B + 300, seasonal=True)
+    for model in spec.services:
+        model.smoothing = [0.6] * len(model.metrics)
+    spec.faults = [
+        FaultEvent(B - 200, B + 100, (DB, "mem_used"), FaultKind.mem_leak, 3.0),
+        FaultEvent(B - 1, B + 1, (DB, "io_wait"), FaultKind.io_saturation, 20.0),
+        FaultEvent(B + 50, B + 300, (WEB, "cpu_util"), FaultKind.cpu_hog, 8.0),
+    ]
+    return spec
+
+
+def _overlapping_slowdowns_spec():
+    # both APP slowdowns land on its coupling row, the WEB one on another;
+    # the first ends more than a block before the last block starts
+    spec = three_tier_spec(seed=23, duration_ticks=3 * B + 5)
+    spec.faults = [
+        FaultEvent(100, B + 10, (APP, "latency"), FaultKind.dependency_slowdown, 2.0),
+        FaultEvent(B - 10, 2 * B, (APP, "cpu_util"), FaultKind.dependency_slowdown, 1.5),
+        FaultEvent(B, 2 * B, (WEB, "latency"), FaultKind.dependency_slowdown, 0.5),
+        FaultEvent(B, B + 1, (DB, "threads_connected"), FaultKind.config_error, 8.0),
+    ]
+    return spec
+
+
+def _random_topology_spec():
+    spec = generate_random_spec(4, 5, 2.0, seed=7, duration_ticks=B + 300)
+    root, leaf = spec.services[0], spec.services[-1]
+    spec.faults = [
+        FaultEvent(200, B, (root.node, root.metrics[root.coupled_metric]),
+                   FaultKind.dependency_slowdown, 3.0),
+        FaultEvent(B, B + 300, (leaf.node, "m1"), FaultKind.io_saturation, 9.0),  # no measure noise
+        FaultEvent(B - 100, B + 100, (leaf.node, "m2"), FaultKind.cpu_hog, 8.0),
+    ]
+    return spec
+
+
+ORACLE_SPECS = {
+    **{
+        kind.value: (lambda kind=kind, seed=seed: three_tier_with_fault(
+            kind, seed, start_tick=B, end_tick=2 * B, duration_ticks=2 * B + 77))
+        for seed, kind in enumerate(FaultKind)
+    },
+    "degradation": lambda: degradation_spec(3, start_tick=B - 1, end_tick=2 * B + 1,
+                                            duration_ticks=2 * B + 100),
+    "smoothing": _smoothed_spec,
+    "overlapping_slowdowns": _overlapping_slowdowns_spec,
+    "random_topology": _random_topology_spec,
+}
+
+
+class TestBlockedOracle:
+    """simulate_frames works in blocks of ticks; its values and events must
+    equal the tick-by-tick reference bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_equals_tick_by_tick_reference(self, name):
+        spec = ORACLE_SPECS[name]()
+        assert spec.duration_ticks % B != 0
+        values, events = reference_frames(spec)
+        frames = simulate_frames(spec)
+        assert np.array_equal(frames.values, values)
+        assert frames.events == events
+        assert len(events) > len(spec.topology.nodes)  # the down rule fired
+
+    def test_lines_equal_serialize_metric_line_for_escaped_names(self, tmp_path):
+        node = ServiceNode("10.0.0.9", 'caf\u00e9 "front"')
+        metrics = ['lat\u00e9ncy "p99"', "100%r hits", "\\path\t"]
+        spec = SimSpec(
+            topology=ServiceDependencyGraph(nodes=[node], edges=[]),
+            services=[ServiceModel(node=node, metrics=metrics)],
+            tick_ms=250,
+            duration_ticks=300,
+            seed=5,
+        )
+        out = simulate(spec, tmp_path)
+        values = simulate_frames(spec).values
+        expected = "".join(
+            serialize_metric_line(MetricSample(
+                ts_ms=t * spec.tick_ms, ip=node.ip, service=node.service, metric=m,
+                value=float(values[t, g]),
+            ))
+            for t in range(spec.duration_ticks)
+            for g, m in enumerate(metrics)
+        )
+        assert Path(out.metrics_path).read_text(encoding="utf-8") == expected
+        assert out.n_samples == 3 * spec.duration_ticks
+
+    def test_non_finite_value_rejected_before_writing(self, tmp_path):
+        # the leak's shift overflows to inf two ticks in
+        spec = three_tier_with_fault(FaultKind.mem_leak, seed=1, start_tick=10, end_tick=20,
+                                     duration_ticks=30)
+        spec.faults = [FaultEvent(10, 20, (DB, "mem_used"), FaultKind.mem_leak, 1e308)]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="value must be finite"):
+            simulate(spec, tmp_path)
+        assert not (tmp_path / "metrics.ndjson").exists()
 
 
 class TestStationaryStats:

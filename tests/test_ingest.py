@@ -1,10 +1,12 @@
 import bisect
+import gc
 import json
 import random
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +331,22 @@ class TestListener:
                 IngestListener(IngestConfig(listen_endpoint=f"127.0.0.1:{port}"), store)
         finally:
             listener.stop()
+
+    def test_bind_failure_closes_its_socket(self):
+        port = self._free_port()
+        config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
+        store = MetricStore.from_config(config)
+        listener = IngestListener(config, store)
+        listener.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(BindFailure):
+                    IngestListener(IngestConfig(listen_endpoint=f"127.0.0.1:{port}"), store)
+                gc.collect()  # a socket left open warns when it is collected
+        finally:
+            listener.stop()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 # --- batch decode: the file loader against the per-line loop it replaced ---

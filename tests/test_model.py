@@ -11,7 +11,6 @@ from availkit.model import (
     align,
     topological_order,
     validate_topology,
-    window,
 )
 
 
@@ -98,28 +97,6 @@ class TestAlign:
                 assert np.isnan(m.values[t, 0])
             else:
                 assert m.values[t, 0] == pytest.approx(in_bucket.mean(), abs=1e-12)
-
-
-class TestWindow:
-    def test_non_overlapping(self):
-        s = series([(i, float(i)) for i in range(10)])
-        assert len(window(s, length=5, stride=5)) == 2
-
-    def test_sliding(self):
-        s = series([(i, float(i)) for i in range(10)])
-        assert len(window(s, length=5, stride=1)) == 6
-
-    def test_too_short(self):
-        s = series([(i, float(i)) for i in range(3)])
-        assert window(s, length=5, stride=1) == []
-
-    def test_count_formula(self):
-        for n in (1, 4, 9, 17, 40):
-            for length in (1, 3, 7):
-                for stride in (1, 2, 5):
-                    s = series([(i, 0.0) for i in range(n)])
-                    got = len(window(s, length, stride))
-                    assert got == max(0, (n - length) // stride + 1)
 
 
 class TestTopology:

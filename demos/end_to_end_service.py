@@ -21,7 +21,8 @@ from availkit.pipeline import DiagnosisSettings
 from availkit.runtime import EngineRuntime
 from availkit.scenarios import three_tier_with_fault
 
-workdir = Path(tempfile.mkdtemp(prefix="availkit-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="availkit-demo-")
+workdir = Path(tmp.name)
 spec = three_tier_with_fault(FaultKind.io_saturation, seed=5)
 sim = simulate(spec, workdir)
 print(f"simulated {sim.n_samples} samples into {workdir}")
@@ -95,4 +96,5 @@ else:
 api.stop()
 listener.stop()
 runtime.stop()
+tmp.cleanup()
 print("\nshut down cleanly")

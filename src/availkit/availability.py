@@ -15,13 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    FileUnreadable,
     MalformedRecord,
     NoCompletedInterval,
     NonAlternatingLog,
     TooFewPoints,
 )
-from .model import ServiceNode
+from .model import ServiceNode, data_lines
 
 UP = "up"
 DOWN = "down"
@@ -180,11 +179,6 @@ def forecast_failure_time(
 def parse_event_line(line: str) -> UpDownEvent:
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"bad event record: {line.strip()!r}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedRecord(f"bad event record: {line.strip()!r}")
-    try:
         return UpDownEvent(
             ts_ms=int(doc["ts_ms"]),
             target=ServiceNode(str(doc["ip"]), str(doc["service"])),
@@ -209,15 +203,10 @@ def serialize_event_line(event: UpDownEvent) -> str:
 def load_event_log(path) -> dict[ServiceNode, list[UpDownEvent]]:
     """Events grouped per target, in file order."""
     logs: dict[ServiceNode, list[UpDownEvent]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            event = parse_event_line(stripped)
-            logs.setdefault(event.target, []).append(event)
+    for lineno, line in data_lines(path):
+        try:
+            event = parse_event_line(line)
+        except MalformedRecord as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+        logs.setdefault(event.target, []).append(event)
     return logs

@@ -28,7 +28,6 @@ class InputKind(Enum):
     single_series = "single_series"
     metric_matrix = "metric_matrix"
     event_log = "event_log"
-    snapshot = "snapshot"
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ _INPUT_TYPES = {
     InputKind.single_series: (MetricSeries, np.ndarray, list, tuple),
     InputKind.metric_matrix: (MetricMatrix,),
     InputKind.event_log: (list, tuple),
-    InputKind.snapshot: (dict,),
 }
 
 
@@ -138,12 +136,8 @@ class MethodBus:
     def describe(self, name: str) -> MethodDescriptor:
         with self._lock:
             if name not in self._methods:
-                raise UnknownMethod(f"no method named {name!r}")
+                raise UnknownMethod(f"unknown method {name!r}")
             return self._methods[name][0]
-
-    def has(self, name: str) -> bool:
-        with self._lock:
-            return name in self._methods
 
     def run(
         self,
@@ -155,7 +149,7 @@ class MethodBus:
         with self._lock:
             entry = self._methods.get(name)
         if entry is None:
-            raise UnknownMethod(f"no method named {name!r}")
+            raise UnknownMethod(f"unknown method {name!r}")
         desc, impl = entry
         expected = _INPUT_TYPES[desc.input_kind]
         if not isinstance(input_value, expected):

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Subcommands map one-to-one onto engine operations; --format switches
-between human-readable text and JSON. Exit codes: 0 success, 1 domain
-error, 2 usage error.
+Analysis subcommands run methods of the bus, whose ParamSpecs give their
+flags and defaults; --format switches between human-readable text and
+JSON. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .availability import availability as availability_stats
-from .availability import forecast_failure_time, load_event_log
+from .availability import load_event_log
 from .api import ControlApiServer
 from .bus import InputKind, MethodBus
 from .causal import PCConfig
 from .config import EngineConfig, load_config
 from .entropy import EntropyConfig
-from .errors import EngineError, MalformedRecord, UnknownMethod
+from .errors import EngineError, MalformedRecord
 from .faultsim import generate_random_spec, load_spec, simulate
 from .ingest import IngestListener, load_metrics_file, parse_endpoint
-from .model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, load_topology
+from .model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, data_lines, load_topology
 from .pipeline import DiagnosisSettings, diagnose
 from .rootcause import AnomalyConfig
 from .runtime import EngineRuntime
@@ -56,19 +55,42 @@ def _finite(cell) -> float:
     return value
 
 
-def _load_series(path: str, key: str | None = None) -> MetricSeries:
-    """One series from a CSV (value, or ts,value per line) or a metrics
-    ndjson file (single key, or the one named by --key)."""
-    text_path = Path(path)
-    with open(text_path, "r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                first = stripped
-                break
-    if first.startswith("{"):
-        series_map, _ = load_metrics_file(text_path)
+def _is_history(line: str) -> bool:
+    """An entropy history record {"ts_ms","score"}, not a metric record."""
+    try:
+        return "score" in json.loads(line)
+    except ValueError:
+        return False
+
+
+def _point(line: str, index: int) -> tuple[int, float]:
+    """(ts, value) of a history record, a CSV ts,value row or a bare
+    value, whose ts is its index among the points."""
+    if line.startswith("{"):
+        doc = json.loads(line)
+        ts, value = int(doc["ts_ms"]), _finite(doc["score"])
+    else:
+        cells = line.split(",")
+        if len(cells) > 2:
+            raise ValueError(f"{len(cells)} cells, expected value or ts,value")
+        value = _finite(cells[-1])
+        ts = int(float(cells[0])) if len(cells) == 2 else index
+    if not -(2**63) <= ts < 2**63:
+        raise ValueError("timestamp outside int64")
+    return ts, value
+
+
+def _load_series(args) -> MetricSeries:
+    """One series from a CSV (value, or ts,value per line), an entropy
+    history (ndjson {"ts_ms","score"}) or a metrics ndjson file (single
+    key, or the one named by --key)."""
+    path = args.input
+    lines = data_lines(path)
+    first = next(lines, (0, ""))[1]
+    lines.close()
+    if first.startswith("{") and not _is_history(first):
+        series_map, _ = load_metrics_file(path)
+        key = getattr(args, "key", None)
         if key is not None:
             wanted = _parse_key(key)
             if wanted not in series_map:
@@ -80,76 +102,69 @@ def _load_series(path: str, key: str | None = None) -> MetricSeries:
                 f"{path} holds {len(series_map)} series; pick one with --key (e.g. {names})"
             )
         return next(iter(series_map.values()))
-    ts: list[int] = []
-    values: list[float] = []
-    with open(text_path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cells = stripped.split(",")
-            try:
-                if len(cells) == 1:
-                    values.append(_finite(cells[0]))
-                    ts.append(len(ts))
-                else:
-                    values.append(_finite(cells[1]))
-                    ts.append(int(float(cells[0])))
-                    if not -(2**63) <= ts[-1] < 2**63:
-                        raise ValueError("timestamp outside int64")
-            except (ValueError, OverflowError) as exc:
-                raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
-    if not ts:
+    points: list[tuple[int, float]] = []
+    for lineno, line in data_lines(path):
+        try:
+            points.append(_point(line, len(points)))
+        except (ValueError, TypeError, OverflowError, KeyError) as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {line!r}: {exc}") from exc
+    if not points:
         raise EngineError(f"{path} holds no data points")
+    ts, values = zip(*points)
     return MetricSeries(MetricKey("0.0.0.0", "cli", "series"), ts, values)
 
 
-def _load_matrix(path: str) -> MetricMatrix:
+def _load_matrix(args) -> MetricMatrix:
     """Header row of metric names, one row of comma-separated cells per
     tick; empty cells are absent, every other cell a finite number."""
-    header: list[str] | None = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = [c.strip() for c in line.rstrip("\n").split(",")]
-            if header is None:
-                header = cells
-                continue
-            if len(cells) != len(header):
-                raise MalformedRecord(
-                    f"{path}:{i + 1}: row has {len(cells)} cells, header has {len(header)}"
-                )
-            try:
-                rows.append([_finite(c) if c else math.nan for c in cells])
-            except ValueError as exc:
-                raise MalformedRecord(f"{path}:{i + 1}: {line.strip()!r}") from exc
-    if header is None:
+    path = args.input
+    lines = data_lines(path)
+    _, first = next(lines, (0, None))
+    if first is None:
         raise EngineError(f"{path} is empty")
+    header = [c.strip() for c in first.split(",")]
+    rows = []
+    for lineno, line in lines:
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise MalformedRecord(
+                f"{path}:{lineno}: row has {len(cells)} cells, header has {len(header)}"
+            )
+        try:
+            rows.append([_finite(c) if c else math.nan for c in cells])
+        except ValueError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {line!r}") from exc
+    if not rows:
+        raise EngineError(f"{path} holds no data rows")
     return MetricMatrix(
         interval_ms=1000, start_ms=0, columns=header, values=np.array(rows, dtype=float)
     )
 
 
-def _load_history(path: str) -> list[tuple[int, float]]:
-    """Entropy history: ndjson {"ts_ms","score"} or CSV ts,score."""
-    out: list[tuple[int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                if stripped.startswith("{"):
-                    doc = json.loads(stripped)
-                    out.append((int(doc["ts_ms"]), _finite(doc["score"])))
-                else:
-                    ts, score = stripped.split(",")
-                    out.append((int(float(ts)), _finite(score)))
-            except (ValueError, TypeError, OverflowError, KeyError) as exc:
-                raise MalformedRecord(f"{path}:{i + 1}: {stripped!r}") from exc
-    return out
+def _load_events(args) -> list:
+    """The events of the --target, or of the log's only target."""
+    logs = load_event_log(args.input)
+    if args.target:
+        return logs.get(_parse_node(args.target), [])
+    if len(logs) == 1:
+        return next(iter(logs.values()))
+    raise EngineError(f"{args.input} holds {len(logs)} targets; pick one with --target")
+
+
+# one loader per bus input kind; each reads the file named by --input
+LOADERS = {
+    InputKind.single_series: _load_series,
+    InputKind.metric_matrix: _load_matrix,
+    InputKind.event_log: _load_events,
+}
+
+
+def _checked(flag: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError becomes a MalformedRecord naming the flag."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise MalformedRecord(f"{flag}: {exc}") from exc
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -165,31 +180,48 @@ def _add_format(parser) -> None:
 
 # --- subcommands ---
 
-def cmd_entropy(args) -> int:
-    series = _load_series(args.input, key=args.key)
-    params = {"m": args.m, "r_fraction": args.r_fraction, "max_scale": args.max_scale}
-    doc = MethodBus().run("mse", series, params).payload
+def _render_mse(doc: dict) -> str:
     lines = [
         f"scale {e['scale']:2d}: "
         + ("undefined" if e["value"] is None else f"{e['value']:.6f}" + (" (capped)" if e["capped"] else ""))
         for e in doc["curve"]
     ]
     lines.append("score: " + ("undefined" if doc["score"] is None else f"{doc['score']:.6f}"))
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_pc(args) -> int:
-    matrix = _load_matrix(args.input)
-    params = {"alpha": args.alpha, "max_cond": args.max_cond, "min_rows": args.min_rows}
-    doc = MethodBus().run("pc", matrix, params).payload
+def _render_pc(doc: dict) -> str:
     metrics = doc["metrics"]
     lines = [f"metrics: {', '.join(metrics)}"]
     lines += [f"{metrics[i]} -> {metrics[j]}" for i, j in doc["directed"]]
     lines += [f"{metrics[i]} -- {metrics[j]}" for i, j in doc["undirected"]]
     if doc["dropped"]:
         lines.append(f"dropped (degenerate): {', '.join(doc['dropped'])}")
-    _emit(args, doc, "\n".join(lines))
+    return "\n".join(lines)
+
+
+def _render_forecast(doc: dict) -> str:
+    if doc["kind"] == "crossing":
+        return f"crossing at ts={doc['crossing_ts_ms']:.0f} ms"
+    return doc["kind"]
+
+
+# subcommand -> (bus method, --input help, text renderer); the method's
+# description is the help and its parameters are the flags
+METHOD_COMMANDS = {
+    "entropy": ("mse", "CSV (value or ts,value per line) or metrics ndjson", _render_mse),
+    "pc": ("pc", "CSV with a metric-name header row", _render_pc),
+    "forecast": ("forecast", 'ndjson {"ts_ms","score"} or CSV ts,score', _render_forecast),
+}
+
+
+def cmd_method(args) -> int:
+    method, _, render = METHOD_COMMANDS[args.command]
+    bus = MethodBus()
+    desc = bus.describe(method)
+    params = {n: v for n in desc.params if (v := getattr(args, n)) is not None}
+    doc = bus.run(method, LOADERS[desc.input_kind](args), params).payload
+    _emit(args, doc, render(doc))
     return 0
 
 
@@ -211,14 +243,17 @@ def cmd_diagnose(args) -> int:
     topology = load_topology(args.topology)
     series = _load_metric_dir(args.metrics)
     entry = _parse_node(args.entry)
+    theta = args.theta if args.theta is not None else 1.0
     diag = diagnose(
         series,
         topology,
         entry,
-        econf=EntropyConfig(alarm_threshold=args.theta if args.theta is not None else 1.0),
-        pconf=PCConfig(alpha=args.alpha),
-        aconf=AnomalyConfig(z_threshold=args.z_threshold),
-        settings=DiagnosisSettings(
+        econf=_checked("--theta", EntropyConfig, alarm_threshold=theta),
+        pconf=_checked("--alpha", PCConfig, alpha=args.alpha),
+        aconf=_checked("--z-threshold", AnomalyConfig, z_threshold=args.z_threshold),
+        settings=_checked(
+            "diagnosis settings",
+            DiagnosisSettings,
             baseline_n=args.baseline,
             window_n=args.window,
             interval_ms=args.interval_ms,
@@ -241,6 +276,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_availability(args) -> int:
+    bus = MethodBus()
     logs = load_event_log(args.events)
     targets = [_parse_node(args.target)] if args.target else sorted(logs)
     docs = []
@@ -249,25 +285,13 @@ def cmd_availability(args) -> int:
         events = logs.get(node)
         if not events:
             raise EngineError(f"no events for {node.label()}")
-        report = availability_stats(events)
-        docs.append(report.to_dict())
+        doc = bus.run("availability", events).payload
+        docs.append(doc)
         lines.append(
-            f"{node.label()}: availability={report.availability:.6f} "
-            f"mttf={report.mttf_ms:.0f}ms mttr={report.mttr_ms:.0f}ms failures={report.n_failures}"
+            f"{node.label()}: availability={doc['availability']:.6f} "
+            f"mttf={doc['mttf_ms']:.0f}ms mttr={doc['mttr_ms']:.0f}ms failures={doc['n_failures']}"
         )
     _emit(args, {"reports": docs}, "\n".join(lines))
-    return 0
-
-
-def cmd_forecast(args) -> int:
-    history = _load_history(args.input)
-    forecast = forecast_failure_time(history, theta=args.theta, fit_window=args.fit_window)
-    doc = forecast.to_dict()
-    if forecast.kind == "crossing":
-        text = f"crossing at ts={forecast.crossing_ts_ms:.0f} ms"
-    else:
-        text = forecast.kind
-    _emit(args, doc, text)
     return 0
 
 
@@ -310,49 +334,26 @@ def cmd_methods(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    bus = MethodBus()
-    try:
-        desc = bus.describe(args.method)
-    except UnknownMethod:
-        raise EngineError(f"unknown method {args.method!r}")
     params = {}
     for assignment in args.param or []:
         name, _, value = assignment.partition("=")
         if not name or not value:
             raise EngineError(f"bad --param {assignment!r}, expected name=value")
         params[name] = value
-    if desc.input_kind is InputKind.single_series:
-        input_value = _load_series(args.input, key=args.key)
-    elif desc.input_kind is InputKind.metric_matrix:
-        input_value = _load_matrix(args.input)
-    elif desc.input_kind is InputKind.event_log:
-        logs = load_event_log(args.input)
-        if args.target:
-            input_value = logs.get(_parse_node(args.target), [])
-        elif len(logs) == 1:
-            input_value = next(iter(logs.values()))
-        else:
-            raise EngineError(f"{args.input} holds {len(logs)} targets; pick one with --target")
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            input_value = json.load(fh)
-    report = bus.run(args.method, input_value, params)
-    _emit(args, {"method": report.method, "payload": report.payload},
-          json.dumps(report.payload, indent=2))
+    bus = MethodBus()
+    input_value = LOADERS[bus.describe(args.method).input_kind](args)
+    payload = bus.run(args.method, input_value, params).payload
+    _emit(args, {"method": args.method, "payload": payload}, json.dumps(payload, indent=2))
     return 0
 
 
 def cmd_serve(args) -> int:
-    try:
-        api_host, api_port = parse_endpoint(args.listen)
-    except ValueError as exc:
-        raise MalformedRecord(f"--listen: {exc}") from exc
+    api_host, api_port = _checked("--listen", parse_endpoint, args.listen)
     config = load_config(args.config) if args.config else EngineConfig()
     if args.metrics_listen:
-        try:
-            config.ingest = replace(config.ingest, listen_endpoint=args.metrics_listen)
-        except ValueError as exc:
-            raise MalformedRecord(f"--metrics-listen: {exc}") from exc
+        config.ingest = _checked(
+            "--metrics-listen", replace, config.ingest, listen_endpoint=args.metrics_listen
+        )
     runtime = EngineRuntime(config)
     listener = IngestListener(config.ingest, runtime.store)
     listener.start()
@@ -387,22 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-listen", default=None, help="metrics TCP listener host:port")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("entropy", help="multi-scale entropy curve of one series")
-    p.add_argument("--input", required=True, help="CSV (value or ts,value per line) or metrics ndjson")
-    p.add_argument("--key", help="ip:service:metric when the input holds several series")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r-fraction", type=float, default=0.15, dest="r_fraction")
-    p.add_argument("--max-scale", type=int, default=10, dest="max_scale")
-    _add_format(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("pc", help="learn the metric dependency graph from a matrix CSV")
-    p.add_argument("--input", required=True, help="CSV with a metric-name header row")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--max-cond", type=int, default=3, dest="max_cond")
-    p.add_argument("--min-rows", type=int, default=100, dest="min_rows")
-    _add_format(p)
-    p.set_defaults(func=cmd_pc)
+    bus = MethodBus()
+    for name, (method, input_help, _) in METHOD_COMMANDS.items():
+        desc = bus.describe(method)
+        p = sub.add_parser(name, help=desc.description)
+        p.add_argument("--input", required=True, help=input_help)
+        if name == "entropy":
+            p.add_argument("--key", help="ip:service:metric when the input holds several series")
+        # no argparse default: an omitted flag takes the method's ParamSpec default
+        for pname, spec in desc.params.items():
+            p.add_argument(
+                "--" + pname.replace("_", "-"), dest=pname,
+                type={"int": int, "float": float}.get(spec.kind, str),
+                help=f"default {spec.default}",
+            )
+        _add_format(p)
+        p.set_defaults(func=cmd_method)
 
     p = sub.add_parser("diagnose", help="two-level root cause diagnosis")
     p.add_argument("--topology", required=True)
@@ -423,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="ip:service (default: all targets in the log)")
     _add_format(p)
     p.set_defaults(func=cmd_availability)
-
-    p = sub.add_parser("forecast", help="project an entropy history to the threshold")
-    p.add_argument("--input", required=True, help='ndjson {"ts_ms","score"} or CSV ts,score')
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--fit-window", type=int, default=10, dest="fit_window")
-    _add_format(p)
-    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("simulate", help="run the fault-injection simulator")
     p.add_argument("--spec", help="simulation spec JSON")

@@ -13,11 +13,11 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, FileUnreadable, MalformedRecord
 
 MAX_TS_MS = 2**63 - 1  # stored as int64
 
@@ -183,6 +183,24 @@ class ServiceDependencyGraph:
         nodes = [ServiceNode(str(n["ip"]), str(n["service"])) for n in doc.get("nodes", [])]
         edges = [(int(e[0]), int(e[1])) for e in doc.get("edges", [])]
         return cls(nodes=nodes, edges=edges)
+
+
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of a text file that is
+    neither blank nor a '#' comment; a line that is not UTF-8 raises
+    MalformedRecord naming path:line."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for i, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(f"{path}:{i}: line is not UTF-8") from exc
+            if line and not line.startswith("#"):
+                yield i, line
 
 
 def load_topology(path) -> ServiceDependencyGraph:

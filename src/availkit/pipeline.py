@@ -9,6 +9,8 @@ rows, and feeds everything into the two-level localization.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,6 +32,17 @@ class DiagnosisSettings:
     interval_ms: int | None = None  # alignment interval (default: inferred)
     pc_row_stride: int = 1          # subsample baseline rows for structure learning
     theta: float | None = None      # entropy alarm threshold override
+
+    def __post_init__(self) -> None:
+        for name in ("baseline_n", "window_n", "interval_ms", "pc_row_stride"):
+            value = getattr(self, name)
+            if value is None and name != "pc_row_stride":
+                continue
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        theta = self.theta
+        if theta is not None and not (isinstance(theta, numbers.Real) and math.isfinite(theta) and theta > 0):
+            raise ValueError(f"theta must be finite and > 0, got {theta!r}")
 
 
 def infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
@@ -114,7 +127,7 @@ def analyze_service(
             cut_series.append(MetricSeries(key, series.ts[:cut], series.values[:cut]))
         try:
             matrix = align(cut_series, interval_ms=interval)
-            matrix.values = matrix.values[:: max(1, settings.pc_row_stride)]
+            matrix.values = matrix.values[:: settings.pc_row_stride]
             graph = learn_metric_graph(matrix, pconf)
         except EngineError as exc:
             warnings.append(f"structure learning skipped: {exc}")

@@ -21,13 +21,7 @@ from .bus import InputKind, MethodBus
 from .causal import PCConfig
 from .config import EngineConfig
 from .entropy import EntropyConfig, HealthReport, health_score
-from .errors import (
-    EngineError,
-    NoUsableMetric,
-    ParamOutOfBounds,
-    TooManySubscriptions,
-    UnknownMethod,
-)
+from .errors import EngineError, NoUsableMetric, ParamOutOfBounds, TooManySubscriptions
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
@@ -206,8 +200,7 @@ class EngineRuntime:
         """Run a bus method every period_s seconds, the first time one period
         from now. Runs happen on the maintenance loop, so only while it is
         running; `availkit serve` always starts it."""
-        if not self.bus.has(method):
-            raise UnknownMethod(f"no method named {method!r}")
+        self.bus.describe(method)  # raises UnknownMethod
         if not 1 <= period_s <= sys.float_info.max:  # the loop keeps due times as floats
             raise ParamOutOfBounds(f"period_s must be between 1 and {sys.float_info.max:g}")
         with self._lock:
@@ -250,12 +243,10 @@ class EngineRuntime:
             if not series_map:
                 raise ValueError(f"no data for {node.label()}")
             return align(list(series_map.values()), interval_ms=infer_interval(series_map))
-        if desc.input_kind is InputKind.event_log:
-            if not self.config.events_path:
-                raise ValueError("no events file configured")
-            logs = load_event_log(self.config.events_path)
-            return logs.get(node, [])
-        return {n.label(): self.store.series_for_service(n) for n in self.topology.nodes}
+        # InputKind.event_log
+        if not self.config.events_path:
+            raise ValueError("no events file configured")
+        return load_event_log(self.config.events_path).get(node, [])
 
     def run_subscription_once(self, sub: Subscription) -> None:
         try:

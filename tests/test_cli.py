@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from availkit import cli
+from availkit.bus import MethodBus
 from availkit.cli import main
-from availkit.faultsim import FaultKind, simulate
+from availkit.faultsim import FaultKind, generate_random_spec, simulate
 from availkit.scenarios import three_tier_with_fault
 
 
@@ -73,15 +74,13 @@ class TestEntropyCommand:
         assert code == 1
         assert "'m'" in err and "below bound" in err
 
-    def test_json_equals_analyze_payload(self, tmp_path, capsys):
+    def test_three_cell_row_is_domain_error(self, tmp_path, capsys):
+        # used to be read silently as ts=1, value=2
         path = tmp_path / "series.csv"
-        rng = np.random.default_rng(4)
-        path.write_text("".join(f"{v}\n" for v in rng.normal(size=300)))
-        _, out, _ = run_cli(capsys, "entropy", "--input", str(path), "--format", "json")
-        _, analyzed, _ = run_cli(
-            capsys, "analyze", "--method", "mse", "--input", str(path), "--format", "json"
-        )
-        assert json.loads(out) == json.loads(analyzed)["payload"]
+        path.write_text("0,5\n1,2,3\n" + "".join(f"{i},{i % 5}\n" for i in range(2, 200)))
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}:2:") and "3 cells" in err
 
 
 class TestPcCommand:
@@ -146,6 +145,13 @@ class TestPcCommand:
             assert code == 1 and out == ""
             assert f"{path}:52:" in err
 
+    def test_header_only_matrix_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n# no rows\n")
+        code, out, err = run_cli(capsys, "pc", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path} holds no data rows\n"
+
     def test_out_of_bounds_alpha_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"
         path.write_text("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(200)))
@@ -155,6 +161,23 @@ class TestPcCommand:
 
 
 class TestSimulateAndDiagnose:
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--theta", "-1", "--theta"), ("--z-threshold", "0", "--z-threshold"),
+         ("--alpha", "2", "--alpha"), ("--interval-ms", "-1000", "interval_ms"),
+         ("--pc-stride", "0", "pc_row_stride"), ("--baseline", "0", "baseline_n")],
+        ids=["theta", "z_threshold", "alpha", "interval_ms", "pc_stride", "baseline"],
+    )
+    def test_bad_diagnose_flag_is_domain_error(self, tmp_path, capsys, flag, value, named):
+        # a bad --interval-ms used to cut every series to nothing and still exit 0
+        sim = simulate(generate_random_spec(2, 3, 1.0, seed=1, duration_ticks=60), tmp_path)
+        code, out, err = run_cli(
+            capsys, "diagnose", "--topology", str(sim.topology_path), "--metrics", str(tmp_path),
+            "--entry", "10.0.0.1:svc0", flag, value,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
     def test_random_simulation_writes_files(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(
@@ -250,6 +273,23 @@ class TestAvailabilityAndForecast:
         assert doc["kind"] == "crossing"
         assert doc["crossing_ts_ms"] == pytest.approx(5.0)
 
+    def test_forecast_theta_defaults_to_bus_default(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text("0,0.1\n1,0.2\n2,0.3\n")
+        code, out, _ = run_cli(capsys, "forecast", "--input", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["crossing_ts_ms"] == pytest.approx(9.0)  # theta 1.0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--fit-window", "1"), ("--theta", "0"), ("--theta", "-0.5")]
+    )
+    def test_forecast_out_of_bounds_param_is_domain_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "history.csv"
+        path.write_text("0,0.1\n1,0.2\n2,0.3\n")
+        code, out, err = run_cli(capsys, "forecast", "--input", str(path), flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter ") and "Traceback" not in err
+
     def test_forecast_infinite_timestamp_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "history.csv"
         path.write_text("0,0.1\ninf,0.6\n")
@@ -271,7 +311,58 @@ class TestAvailabilityAndForecast:
             assert code == 1 and "h.ndjson:2" in err
 
 
+def _method_input(command: str, path: Path) -> None:
+    rng = np.random.default_rng(4)
+    if command == "entropy":
+        path.write_text("".join(f"{v}\n" for v in rng.normal(size=300)))
+    elif command == "pc":
+        x = rng.normal(size=(300, 3))
+        x[:, 2] += x[:, 0]
+        path.write_text("a,b,c\n" + "".join(",".join(map(str, row)) + "\n" for row in x))
+    else:
+        path.write_text("".join(
+            json.dumps({"ts_ms": i * 1000, "score": 0.1 + 0.05 * i + 0.01 * v}) + "\n"
+            for i, v in enumerate(rng.normal(size=12))
+        ))
+
+
 class TestMethodsAndAnalyze:
+    @pytest.mark.parametrize("command, method", [
+        ("entropy", "mse"), ("pc", "pc"), ("forecast", "forecast"),
+    ], ids=["entropy", "pc", "forecast"])
+    def test_json_equals_analyze_payload(self, tmp_path, capsys, command, method):
+        path = tmp_path / "input.txt"
+        _method_input(command, path)
+        code, out, _ = run_cli(capsys, command, "--input", str(path), "--format", "json")
+        assert code == 0
+        _, analyzed, _ = run_cli(
+            capsys, "analyze", "--method", method, "--input", str(path), "--format", "json"
+        )
+        assert json.loads(out) == json.loads(analyzed)["payload"]
+
+    def test_method_flags_default_to_none(self):
+        # each default lives only in the method's ParamSpec
+        parser = cli.build_parser()
+        for command, (method, _, _) in cli.METHOD_COMMANDS.items():
+            params = MethodBus().describe(method).params
+            args = parser.parse_args([command, "--input", "x"])
+            assert {name: getattr(args, name) for name in params} == dict.fromkeys(params)
+
+    @pytest.mark.parametrize("argv, content", [
+        (["entropy", "--input"], b"1.0\n2.0\n\xff\n"),
+        (["pc", "--input"], b"a,b\n1,2\n\xfe,3\n"),
+        (["forecast", "--input"], b"0,0.1\n1,0.2\n\xff\n"),
+        (["availability", "--events"], b'{"ts_ms": 0, "ip": "10.0.0.1", "service": "s", "state": "up"}\n'
+                                        b'{"ts_ms": 1, "ip": "10.0.0.1", "service": "s", "state": "down"}\n\xff\n'),
+        (["analyze", "--method", "availability", "--input"], b"# events\n\n\xc3\n"),
+    ], ids=["series", "matrix", "history", "event_log", "analyze_event_log"])
+    def test_non_utf8_line_is_domain_error(self, tmp_path, capsys, argv, content):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:3: line is not UTF-8\n"
+
     def test_methods_listing(self, capsys):
         code, out, _ = run_cli(capsys, "methods", "--format", "json")
         assert code == 0
@@ -335,9 +426,10 @@ class TestServeConfig:
             ({"maintenance_cycle_s": 0}, "'maintenance_cycle_s'"),
             ({"maintenance_cycle_s": 2.7}, "'maintenance_cycle_s'"),
             ({"ingest": {"listen_endpoint": "nope"}}, "'ingest'"),
+            ({"diagnosis": {"interval_ms": -1000}}, "'diagnosis'"),
         ],
         ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object",
-             "zero_cycle", "fractional_cycle", "endpoint_without_port"],
+             "zero_cycle", "fractional_cycle", "endpoint_without_port", "negative_interval"],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, monkeypatch, doc, section):
         # an accepted config would start serving forever; fail instead

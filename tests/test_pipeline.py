@@ -165,3 +165,19 @@ class TestDiagnose:
         d1 = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS, produced_at_ms=0)
         d2 = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS, produced_at_ms=0)
         assert d1.to_dict() == d2.to_dict()
+
+
+class TestDiagnosisSettings:
+    @pytest.mark.parametrize("field, value", [
+        ("baseline_n", 0), ("window_n", -1), ("interval_ms", -1000), ("interval_ms", 1.5),
+        ("pc_row_stride", 0), ("pc_row_stride", None), ("theta", 0.0), ("theta", -1.0),
+        ("theta", float("nan")), ("theta", float("inf")),
+    ])
+    def test_bad_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DiagnosisSettings(**{field: value})
+
+    def test_defaults_and_values_in_use_are_valid(self):
+        DiagnosisSettings()
+        DiagnosisSettings(baseline_n=1800, window_n=600, pc_row_stride=5)
+        DiagnosisSettings(baseline_n=1201, window_n=200, interval_ms=1000, pc_row_stride=2, theta=10)

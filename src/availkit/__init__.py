@@ -16,7 +16,7 @@ from .availability import (
     mttf,
     mttr,
 )
-from .bus import AnalysisReport, InputKind, MethodBus, MethodDescriptor, ParamSpec
+from .bus import InputKind, MethodBus, MethodDescriptor, ParamSpec
 from .causal import (
     PCConfig,
     correlation_matrix,

@@ -9,9 +9,9 @@ and the frontend can enumerate everything through one listing.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -98,15 +98,6 @@ class MethodDescriptor:
         }
 
 
-@dataclass
-class AnalysisReport:
-    method: str
-    target: object
-    produced_at_ms: int
-    payload: dict
-    warnings: list[str] = field(default_factory=list)
-
-
 _INPUT_TYPES = {
     InputKind.single_series: (MetricSeries, np.ndarray, list, tuple),
     InputKind.metric_matrix: (MetricMatrix,),
@@ -144,8 +135,9 @@ class MethodBus:
         name: str,
         input_value,
         params: Mapping[str, object] | None = None,
-        target=None,
-    ) -> AnalysisReport:
+    ) -> dict:
+        """The payload of method `name` on `input_value` with `params`
+        validated against its ParamSpecs (omitted ones take defaults)."""
         with self._lock:
             entry = self._methods.get(name)
         if entry is None:
@@ -165,13 +157,7 @@ class MethodBus:
                 resolved[pname] = spec.default
         if given:
             raise ParamOutOfBounds(f"unknown parameter(s) {sorted(given)} for method {name!r}")
-        payload = impl(input_value, **resolved)
-        return AnalysisReport(
-            method=name,
-            target=target,
-            produced_at_ms=int(time.time() * 1000),
-            payload=payload,
-        )
+        return impl(input_value, **resolved)
 
 
 def _series_values(value) -> np.ndarray:
@@ -204,28 +190,26 @@ def _pc_impl(data, alpha, max_cond, min_rows):
     return doc
 
 
-def _zscore_impl(series, baseline_len):
+def _split_baseline(series, baseline_len) -> tuple[np.ndarray, np.ndarray]:
     values = _series_values(series)
     if len(values) <= baseline_len:
         raise ParamOutOfBounds(
             f"baseline_len={baseline_len} leaves no detection window for {len(values)} points"
         )
-    score = rootcause.zscore_anomaly(values[:baseline_len], values[baseline_len:])
+    return values[:baseline_len], values[baseline_len:]
+
+
+def _zscore_impl(series, baseline_len):
+    score = rootcause.zscore_anomaly(*_split_baseline(series, baseline_len))
     return {"score": score, "baseline_len": baseline_len}
 
 
 def _cusum_impl(series, baseline_len, k, h):
-    values = _series_values(series)
-    if len(values) <= baseline_len:
-        raise ParamOutOfBounds(
-            f"baseline_len={baseline_len} leaves no detection window for {len(values)} points"
-        )
-    base = values[:baseline_len]
+    base, rest = _split_baseline(series, baseline_len)
     sigma = float(np.std(base))
     if sigma == 0.0:
         raise ParamOutOfBounds("baseline has zero variance; cusum needs sigma > 0")
-    cfg = rootcause.AnomalyConfig(cusum_k=k, cusum_h=h, baseline_len=max(30, baseline_len))
-    changes = rootcause.cusum_change(values[baseline_len:], float(base.mean()), sigma, cfg)
+    changes = rootcause.cusum_change(rest, float(base.mean()), sigma, k, h)
     return {"change_points": [baseline_len + c for c in changes]}
 
 
@@ -244,12 +228,22 @@ def _availability_impl(events):
     return report.to_dict()
 
 
-def _forecast_impl(series, theta, fit_window):
+def _history(series) -> list[tuple[int, float]]:
+    """(ts, score) points of a MetricSeries, of (ts, score) pairs, or of a
+    flat sequence of scores, whose ts is each score's index."""
     if isinstance(series, MetricSeries):
-        history = list(zip(series.ts.tolist(), series.values.tolist()))
-    else:
-        history = [(int(ts), float(v)) for ts, v in series]
-    forecast = forecast_failure_time(history, theta, fit_window)
+        return list(zip(series.ts.tolist(), series.values.tolist()))
+    items = list(series)
+    if all(isinstance(x, numbers.Real) for x in items):
+        return [(i, float(x)) for i, x in enumerate(items)]
+    try:
+        return [(int(ts), float(v)) for ts, v in items]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputKindMismatch("method 'forecast' expects scores or (ts, score) pairs") from exc
+
+
+def _forecast_impl(series, theta, fit_window):
+    forecast = forecast_failure_time(_history(series), theta, fit_window)
     return forecast.to_dict()
 
 
@@ -332,6 +326,3 @@ def _register_builtins(bus: MethodBus) -> None:
         ),
         _forecast_impl,
     )
-
-
-BUILTIN_METHODS = ("availability", "correlation", "cusum", "forecast", "mse", "pc", "zscore")

@@ -348,15 +348,11 @@ def meek_closure(pdag: MetricDependencyGraph) -> MetricDependencyGraph:
             nbrs = sorted({x for e in a_undir for x in e if x != a})
             for b in nbrs:
                 into_b = sorted({c for c, t in directed if t == b})
-                hit = False
                 for c, d in combinations(into_b, 2):
                     if c in nbrs and d in nbrs and not adjacent(c, d):
                         if try_orient(a, b):
                             changed = True
-                            hit = True
                             break
-                if hit:
-                    continue
     out = MetricDependencyGraph(
         metrics=list(pdag.metrics),
         directed=directed,

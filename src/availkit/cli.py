@@ -220,7 +220,7 @@ def cmd_method(args) -> int:
     bus = MethodBus()
     desc = bus.describe(method)
     params = {n: v for n in desc.params if (v := getattr(args, n)) is not None}
-    doc = bus.run(method, LOADERS[desc.input_kind](args), params).payload
+    doc = bus.run(method, LOADERS[desc.input_kind](args), params)
     _emit(args, doc, render(doc))
     return 0
 
@@ -285,7 +285,7 @@ def cmd_availability(args) -> int:
         events = logs.get(node)
         if not events:
             raise EngineError(f"no events for {node.label()}")
-        doc = bus.run("availability", events).payload
+        doc = bus.run("availability", events)
         docs.append(doc)
         lines.append(
             f"{node.label()}: availability={doc['availability']:.6f} "
@@ -342,7 +342,7 @@ def cmd_analyze(args) -> int:
         params[name] = value
     bus = MethodBus()
     input_value = LOADERS[bus.describe(args.method).input_kind](args)
-    payload = bus.run(args.method, input_value, params).payload
+    payload = bus.run(args.method, input_value, params)
     _emit(args, {"method": args.method, "payload": payload}, json.dumps(payload, indent=2))
     return 0
 

@@ -6,16 +6,15 @@ declared on the corresponding config dataclass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .causal import PCConfig
 from .entropy import EntropyConfig
-from .errors import FileUnreadable, MalformedRecord
+from .errors import MalformedRecord
 from .ingest import IngestConfig
 from .maintenance import ActionKind, MaintenancePolicy, check_cycle_s, default_policy
-from .model import ServiceNode
+from .model import ServiceNode, read_json
 from .pipeline import DiagnosisSettings
 from .rootcause import AnomalyConfig
 
@@ -57,14 +56,7 @@ def policy_to_dict(policy: MaintenancePolicy) -> dict:
 
 
 def load_config(path) -> EngineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, base_dir=Path(path).parent)
+    return config_from_dict(read_json(path), base_dir=Path(path).parent)
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> EngineConfig:

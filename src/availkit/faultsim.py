@@ -41,6 +41,7 @@ from .model import (
     MetricSample,
     ServiceDependencyGraph,
     ServiceNode,
+    read_json,
     save_topology,
     topological_order,
     validate_topology,
@@ -645,8 +646,7 @@ def spec_from_dict(doc: dict) -> SimSpec:
 
 
 def load_spec(path) -> SimSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return read_json(path, spec_from_dict)
 
 
 def save_spec(spec: SimSpec, path) -> None:

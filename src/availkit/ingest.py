@@ -32,6 +32,7 @@ FIELD_ORDER = ("ts_ms", "ip", "service", "metric", "value")
 BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no faster
 MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
+KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
 
 # key -> (ts, values) in arrival order; a key present here has been validated
 Columns = dict[MetricKey, tuple[array, array]]
@@ -108,15 +109,15 @@ class IngestStats:
     late_dropped: int = 0
     errors: list[str] = field(default_factory=list)
 
-    def record_error(self, message: str, keep: int = 20) -> None:
+    def record_error(self, message: str) -> None:
         self.rejected += 1
-        if len(self.errors) < keep:
+        if len(self.errors) < KEPT_ERRORS:
             self.errors.append(message)
 
-    def take_rejections(self, other: "IngestStats", keep: int = 20) -> None:
+    def take_rejections(self, other: "IngestStats") -> None:
         """Move other's rejections and error messages into these counters."""
         self.rejected += other.rejected
-        self.errors.extend(other.errors[: max(0, keep - len(self.errors))])
+        self.errors.extend(other.errors[: max(0, KEPT_ERRORS - len(self.errors))])
         other.rejected = 0
         other.errors.clear()
 
@@ -251,24 +252,15 @@ class MetricStore:
     Writers append per connection; readers take consistent per-key
     snapshots. Samples older than (newest - out_of_order_buffer_ms) for
     their key are dropped; the newest store_capacity_per_key points per
-    key are retained.
+    key are retained (both from the IngestConfig).
     """
 
-    def __init__(self, capacity_per_key: int = 20000, out_of_order_buffer_ms: int = 5000) -> None:
-        if capacity_per_key < 2:
-            raise ValueError("capacity_per_key must be >= 2")
-        self._capacity = capacity_per_key
-        self._buffer_ms = out_of_order_buffer_ms
+    def __init__(self, config: IngestConfig = IngestConfig()) -> None:
+        self._capacity = config.store_capacity_per_key
+        self._buffer_ms = config.out_of_order_buffer_ms
         self._lock = threading.Lock()
         self._data: dict[MetricKey, tuple[array, array]] = {}
         self.stats = IngestStats()
-
-    @classmethod
-    def from_config(cls, config: IngestConfig) -> "MetricStore":
-        return cls(
-            capacity_per_key=config.store_capacity_per_key,
-            out_of_order_buffer_ms=config.out_of_order_buffer_ms,
-        )
 
     def append(self, sample: MetricSample) -> bool:
         """Insert one sample; False when it was late-dropped."""

@@ -203,9 +203,24 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
                 yield i, line
 
 
+def read_json(path, build=lambda doc: doc):
+    """build(the JSON document in a UTF-8 file). An unreadable file raises
+    FileUnreadable. Bytes that are not UTF-8 or not JSON, and a document
+    that build rejects with a LookupError, TypeError, ValueError or
+    AttributeError, raise MalformedRecord naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    try:  # a UnicodeDecodeError or JSONDecodeError is a ValueError
+        return build(json.loads(raw.decode("utf-8")))
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_topology(path) -> ServiceDependencyGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ServiceDependencyGraph.from_dict(json.load(fh))
+    return read_json(path, ServiceDependencyGraph.from_dict)
 
 
 def save_topology(graph: ServiceDependencyGraph, path) -> None:
@@ -293,25 +308,18 @@ def topological_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | N
 
 # --- operations ---
 
-def align(
-    series_set: Iterable[MetricSeries],
-    interval_ms: int,
-    aggregation: str = "mean",
-) -> MetricMatrix:
+def align(series_set: Iterable[MetricSeries], interval_ms: int) -> MetricMatrix:
     """Bucket a set of series onto a common clock.
 
     Each sample lands in bucket floor((ts - start) / interval); co-bucketed
-    samples are reduced by `aggregation` (mean or last); empty buckets stay
-    NaN. start_ms is the earliest timestamp rounded down to an interval
-    boundary.
+    samples are averaged; empty buckets stay NaN. start_ms is the earliest
+    timestamp rounded down to an interval boundary.
     """
     series = list(series_set)
     if not series or all(len(s) == 0 for s in series):
         raise EmptyInput("align requires at least one non-empty series")
     if interval_ms <= 0:
         raise ValueError("interval_ms must be positive")
-    if aggregation not in ("mean", "last"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
 
     t_min = min(int(s.ts[0]) for s in series if len(s))
     t_max = max(int(s.ts[-1]) for s in series if len(s))
@@ -322,17 +330,11 @@ def align(
     for col, s in enumerate(series):
         if not len(s):
             continue
-        vals = s.values
         buckets = (s.ts - start_ms) // interval_ms
-        if aggregation == "last":
-            uniq, rev_first = np.unique(buckets[::-1], return_index=True)
-            last_idx = len(vals) - 1 - rev_first
-            values[uniq, col] = vals[last_idx]
-        else:
-            sums = np.bincount(buckets, weights=vals, minlength=n_rows)
-            counts = np.bincount(buckets, minlength=n_rows)
-            filled = counts > 0
-            values[filled, col] = sums[filled] / counts[filled]
+        sums = np.bincount(buckets, weights=s.values, minlength=n_rows)
+        counts = np.bincount(buckets, minlength=n_rows)
+        filled = counts > 0
+        values[filled, col] = sums[filled] / counts[filled]
 
     return MetricMatrix(
         interval_ms=interval_ms,

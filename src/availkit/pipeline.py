@@ -24,6 +24,8 @@ from .rootcause import AnomalyConfig, Diagnosis, ServiceStatus, localize, servic
 
 log = logging.getLogger(__name__)
 
+MIN_DEFAULT_BASELINE_N = 120  # the default baseline is half the shortest series, at least this
+
 
 @dataclass(frozen=True)
 class DiagnosisSettings:
@@ -60,13 +62,12 @@ def infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
 def _split_lengths(
     series_map: Mapping[MetricKey, MetricSeries],
     econf: EntropyConfig,
-    aconf: AnomalyConfig,
     settings: DiagnosisSettings,
 ) -> tuple[int, int]:
     shortest = min((len(s) for s in series_map.values()), default=0)
     baseline_n = settings.baseline_n
     if baseline_n is None:
-        baseline_n = max(aconf.baseline_len, shortest // 2)
+        baseline_n = max(MIN_DEFAULT_BASELINE_N, shortest // 2)
     window_n = settings.window_n
     if window_n is None:
         window_n = min(econf.window_len, max(0, shortest - baseline_n))
@@ -86,13 +87,12 @@ def analyze_service(
     series_map: Mapping[MetricKey, MetricSeries],
     econf: EntropyConfig,
     pconf: PCConfig,
-    aconf: AnomalyConfig,
     settings: DiagnosisSettings = DiagnosisSettings(),
     computed_at_ms: int | None = None,
 ) -> ServiceAnalysis:
     """Scores, health report and learned metric graph for one service."""
     warnings: list[str] = []
-    baseline_n, window_n = _split_lengths(series_map, econf, aconf, settings)
+    baseline_n, window_n = _split_lengths(series_map, econf, settings)
 
     zscores: dict[str, float] = {}
     windows: dict[str, np.ndarray] = {}
@@ -161,9 +161,7 @@ def diagnose(
         series_map = per_service.get(node)
         if not series_map:
             continue  # flagged as missing by service_anomaly
-        analysis = analyze_service(
-            node, series_map, econf, pconf, aconf, settings, computed_at_ms=produced_at_ms
-        )
+        analysis = analyze_service(node, series_map, econf, pconf, settings, computed_at_ms=produced_at_ms)
         for warning in analysis.warnings:
             log.debug("%s: %s", node.label(), warning)
         statuses[node] = analysis.status

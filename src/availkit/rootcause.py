@@ -24,15 +24,10 @@ from .model import MetricDependencyGraph, ServiceDependencyGraph, ServiceNode
 @dataclass(frozen=True)
 class AnomalyConfig:
     z_threshold: float = 3.0
-    cusum_k: float = 0.5
-    cusum_h: float = 5.0
-    baseline_len: int = 120
 
     def __post_init__(self) -> None:
-        if self.z_threshold <= 0 or self.cusum_k <= 0 or self.cusum_h <= 0:
-            raise ValueError("z_threshold, cusum_k and cusum_h must be positive")
-        if self.baseline_len < 30:
-            raise ValueError("baseline_len must be >= 30")
+        if self.z_threshold <= 0:
+            raise ValueError("z_threshold must be positive")
 
 
 def zscore_anomaly(baseline: Sequence[float] | np.ndarray, window: Sequence[float] | np.ndarray) -> float:
@@ -60,18 +55,19 @@ def cusum_change(
     series: Sequence[float] | np.ndarray,
     mu0: float,
     sigma: float,
-    cfg: AnomalyConfig,
+    k: float,
+    h: float,
 ) -> list[int]:
     """Two-sided tabular CUSUM change indices.
 
     Each side accumulates S_t = max(0, S_{t-1} + (deviation - k*sigma)),
     alarms when S_t > h*sigma, and resets after its own alarm.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if sigma <= 0 or k <= 0 or h <= 0:
+        raise ValueError("sigma, k and h must be positive")
     x = np.asarray(series, dtype=float)
-    k = cfg.cusum_k * sigma
-    h = cfg.cusum_h * sigma
+    k *= sigma
+    h *= sigma
     s_hi = 0.0
     s_lo = 0.0
     alarms: list[int] = []

@@ -61,18 +61,18 @@ class Subscription:
 
 class EngineRuntime:
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or EngineConfig()
-        self.store = MetricStore.from_config(self.config.ingest)
+        # a copy: set_params replaces its entropy and pc sections
+        self.config = replace(config) if config else EngineConfig()
+        theta = self.config.diagnosis.theta
+        if theta is not None:  # one alarm threshold, governed by set_params
+            self.config.entropy = replace(self.config.entropy, alarm_threshold=theta)
+            self.config.diagnosis = replace(self.config.diagnosis, theta=None)
+        self.store = MetricStore(self.config.ingest)
         self.bus = MethodBus()
         self.topology = ServiceDependencyGraph(nodes=[], edges=[])
         if self.config.topology_path:
             self.topology = load_topology(self.config.topology_path)
         self._lock = threading.RLock()
-        self._entropy = self.config.entropy
-        self._pc = self.config.pc
-        self._anomaly = self.config.anomaly
-        self._policy = self.config.policy
-        self._settings = self.config.diagnosis
         self._health_cache: dict[ServiceNode, HealthReport] = {}
         self._latest_diagnosis: Diagnosis | None = None
         self._subscriptions: dict[str, Subscription] = {}
@@ -89,29 +89,19 @@ class EngineRuntime:
     @property
     def entropy_config(self) -> EntropyConfig:
         with self._lock:
-            return self._entropy
+            return self.config.entropy
 
     @property
     def pc_config(self) -> PCConfig:
         with self._lock:
-            return self._pc
-
-    @property
-    def anomaly_config(self):
-        with self._lock:
-            return self._anomaly
-
-    @property
-    def policy(self):
-        with self._lock:
-            return self._policy
+            return self.config.pc
 
     def get_params(self) -> dict:
         with self._lock:
             return {
                 "maintenance_cycle_s": self.loop.cycle_s,
-                "alarm_threshold": self._entropy.alarm_threshold,
-                "alpha": self._pc.alpha,
+                "alarm_threshold": self.config.entropy.alarm_threshold,
+                "alpha": self.config.pc.alpha,
             }
 
     def set_params(self, updates: dict) -> dict:
@@ -121,7 +111,7 @@ class EngineRuntime:
         if unknown:
             raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
         with self._lock:
-            entropy, pc = self._entropy, self._pc
+            entropy, pc = self.config.entropy, self.config.pc
             if "alarm_threshold" in updates:
                 threshold = float(updates["alarm_threshold"])
                 if not math.isfinite(threshold):
@@ -131,7 +121,7 @@ class EngineRuntime:
                 pc = replace(pc, alpha=float(updates["alpha"]))
             if "maintenance_cycle_s" in updates:  # the last check, so a rejection applies nothing
                 self.loop.set_cycle_s(updates["maintenance_cycle_s"])
-            self._entropy, self._pc = entropy, pc
+            self.config.entropy, self.config.pc = entropy, pc
             return self.get_params()
 
     # --- health ---
@@ -159,7 +149,9 @@ class EngineRuntime:
     def health(self, node: ServiceNode) -> HealthReport | None:
         with self._lock:
             cached = self._health_cache.get(node)
-        if cached is not None:
+            threshold = self.config.entropy.alarm_threshold
+        # a report made before set_params changed the threshold is stale
+        if cached is not None and cached.threshold == threshold:
             return cached
         return self.refresh_health(node)
 
@@ -172,8 +164,8 @@ class EngineRuntime:
             entry,
             econf=self.entropy_config,
             pconf=self.pc_config,
-            aconf=self.anomaly_config,
-            settings=self._settings,
+            aconf=self.config.anomaly,
+            settings=self.config.diagnosis,
         )
         with self._lock:
             self._latest_diagnosis = diag
@@ -251,8 +243,7 @@ class EngineRuntime:
     def run_subscription_once(self, sub: Subscription) -> None:
         try:
             input_value = self._subscription_input(sub)
-            report = self.bus.run(sub.method, input_value, sub.params, target=sub.target)
-            sub.latest_payload = report.payload
+            sub.latest_payload = self.bus.run(sub.method, input_value, sub.params)
             sub.latest_error = None
             if sub.method == "mse" and "service" in sub.target:
                 # keep the health cache warm for the GET route
@@ -286,7 +277,7 @@ class EngineRuntime:
         diag = self.run_diagnosis(entry)
         return decide_action(
             diag,
-            self.policy,
+            self.config.policy,
             action_id=f"act-{next(self._action_counter)}",
             issued_at_ms=int(time.time() * 1000),
             cycle_s=self.loop.cycle_s,

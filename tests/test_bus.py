@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from availkit.availability import UpDownEvent, availability
-from availkit.bus import BUILTIN_METHODS, InputKind, MethodBus, MethodDescriptor, ParamSpec
+from availkit.bus import InputKind, MethodBus, MethodDescriptor, ParamSpec
 from availkit.entropy import EntropyConfig, mse_curve
 from availkit.errors import DuplicateName, InputKindMismatch, ParamOutOfBounds, UnknownMethod
 from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode
+
+
+BUILTIN_METHODS = ("availability", "correlation", "cusum", "forecast", "mse", "pc", "zscore")
 
 
 def series(values, ts_step=1000):
@@ -65,16 +68,15 @@ class TestRun:
 
     def test_mse_constant_series_all_zero(self):
         bus = MethodBus()
-        report = bus.run("mse", series([5.0] * 600))
-        values = [e["value"] for e in report.payload["curve"]]
+        payload = bus.run("mse", series([5.0] * 600))
+        values = [e["value"] for e in payload["curve"]]
         assert values == [0.0] * 10
-        assert report.method == "mse"
 
     def test_mse_matches_direct_call(self):
         rng = np.random.default_rng(2)
         values = rng.normal(size=600)
         bus = MethodBus()
-        payload = bus.run("mse", series(values)).payload
+        payload = bus.run("mse", series(values))
         cfg = EntropyConfig(window_len=600)
         direct = mse_curve(values, cfg)
         assert [e["value"] for e in payload["curve"]] == [e.value for e in direct]
@@ -83,7 +85,7 @@ class TestRun:
         rng = np.random.default_rng(3)
         values = np.concatenate([rng.normal(size=200), rng.normal(size=50) + 6.0])
         bus = MethodBus()
-        payload = bus.run("zscore", series(values), {"baseline_len": 200}).payload
+        payload = bus.run("zscore", series(values), {"baseline_len": 200})
         from availkit.rootcause import zscore_anomaly
 
         assert payload["score"] == zscore_anomaly(values[:200], values[200:])
@@ -96,35 +98,54 @@ class TestRun:
             UpDownEvent(2000, node, "up"),
         ]
         bus = MethodBus()
-        payload = bus.run("availability", events).payload
+        payload = bus.run("availability", events)
         assert payload == availability(events).to_dict()
 
     def test_forecast_over_series(self):
         bus = MethodBus()
         hist = series([0.1, 0.2, 0.3], ts_step=1)
-        payload = bus.run("forecast", hist, {"theta": 0.6, "fit_window": 3}).payload
+        payload = bus.run("forecast", hist, {"theta": 0.6, "fit_window": 3})
         assert payload["kind"] == "crossing"
         assert payload["crossing_ts_ms"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "history",
+        [[0.1, 0.2, 0.3], np.array([0.1, 0.2, 0.3]), [(0, 0.1), (1, 0.2), (2, 0.3)]],
+        ids=["flat_list", "flat_array", "pairs"],
+    )
+    def test_forecast_reads_scores_or_pairs(self, history):
+        # a flat sequence holds scores at index timestamps, as the CLI reads bare values
+        payload = MethodBus().run("forecast", history, {"theta": 0.6, "fit_window": 3})
+        assert payload["kind"] == "crossing"
+        assert payload["crossing_ts_ms"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "history", [[0.1, (1, 0.2)], [(0, 0.1, 9)], [("x", 0.1), (1, 0.2)]],
+        ids=["mixed", "triple", "text_ts"],
+    )
+    def test_forecast_rejects_other_input(self, history):
+        with pytest.raises(InputKindMismatch):
+            MethodBus().run("forecast", history)
 
     def test_cusum_finds_step(self):
         rng = np.random.default_rng(5)
         values = np.concatenate([rng.normal(size=150), rng.normal(size=100) + 8.0])
         bus = MethodBus()
-        payload = bus.run("cusum", series(values), {"baseline_len": 150}).payload
+        payload = bus.run("cusum", series(values), {"baseline_len": 150})
         assert payload["change_points"], "step must be detected"
         assert payload["change_points"][0] >= 150
 
     def test_string_params_coerced(self):
         bus = MethodBus()
-        report = bus.run("mse", series([1.0] * 600), {"m": "2", "r_fraction": "0.15"})
-        assert report.payload["score"] == 0.0
+        payload = bus.run("mse", series([1.0] * 600), {"m": "2", "r_fraction": "0.15"})
+        assert payload["score"] == 0.0
 
     def test_correlation_payload(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=500)
         data = np.column_stack([x, -x])
         bus = MethodBus()
-        payload = bus.run("correlation", MetricMatrix(1000, 0, ["a", "b"], data)).payload
+        payload = bus.run("correlation", MetricMatrix(1000, 0, ["a", "b"], data))
         assert payload["matrix"][0][1] == pytest.approx(-1.0)
         assert payload["n_rows"] == 500
 

@@ -415,6 +415,32 @@ class TestUsageErrors:
         assert "either --spec or --random" in err
 
 
+class TestJsonDocuments:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'{"nodes": ['),
+            (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'{"nodes": [{"ip": "10.0.0.1"}]}'),
+            (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'{"nodes": [], "edges": [[0]]}'),
+            (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'["nodes"]'),
+            (["simulate", "--spec"], b'{"topology": {"nodes": ['),
+            (["simulate", "--spec"], b"{}"),
+            (["serve", "--listen", "127.0.0.1:0", "--config"], b'{"ingest": \xff}'),
+            (["serve", "--listen", "127.0.0.1:0", "--config"], b'{"ingest": {'),
+        ],
+        ids=["truncated_topology", "node_without_service", "one_ended_edge", "topology_list",
+             "truncated_spec", "spec_without_topology", "non_utf8_config", "truncated_config"],
+    )
+    def test_bad_document_is_domain_error(self, tmp_path, capsys, monkeypatch, argv, content):
+        monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("config accepted"))
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        extra = {"diagnose": ["--metrics", str(tmp_path)], "simulate": ["--out", str(tmp_path)]}
+        code, out, err = run_cli(capsys, *argv, str(path), *extra.get(argv[0], []))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+
 class TestServeConfig:
     @pytest.mark.parametrize(
         "doc, section",

@@ -37,6 +37,10 @@ def sample(ts=1714000000123, ip="10.0.0.3", service="mysql", metric="cpu_util", 
     return MetricSample(ts_ms=ts, ip=ip, service=service, metric=metric, value=value)
 
 
+def new_store(capacity: int, buffer_ms: int) -> MetricStore:
+    return MetricStore(IngestConfig(out_of_order_buffer_ms=buffer_ms, store_capacity_per_key=capacity))
+
+
 class TestLineFormat:
     def test_parse_valid_line(self):
         line = '{"ts_ms":1714000000123,"ip":"10.0.0.3","service":"mysql","metric":"cpu_util","value":0.83}'
@@ -187,14 +191,14 @@ class TestAddress:
 
 class TestStore:
     def test_monotone_timestamps(self):
-        store = MetricStore(capacity_per_key=100, out_of_order_buffer_ms=1000)
+        store = new_store(100, 1000)
         for ts in (10, 5000, 4500, 200):  # 200 is older than 5000 - 1000
             store.append(sample(ts=ts))
         assert store.series(sample().key).ts.tolist() == [10, 4500, 5000]
         assert store.stats.late_dropped == 1
 
     def test_capacity_keeps_newest(self):
-        store = MetricStore(capacity_per_key=5, out_of_order_buffer_ms=0)
+        store = new_store(5, 0)
         for ts in range(20):
             store.append(sample(ts=ts * 1000))
         ts = store.series(sample().key).ts
@@ -212,14 +216,14 @@ class TestStore:
         import numpy as np
 
         rng = np.random.default_rng(1)
-        store = MetricStore(capacity_per_key=500, out_of_order_buffer_ms=10_000)
+        store = new_store(500, 10_000)
         for ts in rng.integers(0, 100_000, size=400):
             store.append(sample(ts=int(ts)))
         ts_values = store.series(sample().key).ts.tolist()
         assert ts_values == sorted(set(ts_values))
 
     def test_snapshot_is_a_copy(self):
-        store = MetricStore(capacity_per_key=4, out_of_order_buffer_ms=10_000)
+        store = new_store(4, 10_000)
         for ts in (1000, 2000, 3000):
             store.append(sample(ts=ts, value=float(ts)))
         snap = store.series(sample().key)
@@ -249,7 +253,7 @@ class TestListener:
     def test_streams_into_store(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -262,7 +266,7 @@ class TestListener:
     def test_two_concurrent_clients_different_keys(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -292,7 +296,7 @@ class TestListener:
     def test_malformed_lines_counted_connection_survives(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -306,7 +310,7 @@ class TestListener:
     def test_ts_beyond_int64_rejected_connection_survives(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -322,7 +326,7 @@ class TestListener:
     def test_bind_failure(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -335,7 +339,7 @@ class TestListener:
     def test_bind_failure_closes_its_socket(self):
         port = self._free_port()
         config = IngestConfig(listen_endpoint=f"127.0.0.1:{port}")
-        store = MetricStore.from_config(config)
+        store = MetricStore(config)
         listener = IngestListener(config, store)
         listener.start()
         try:
@@ -594,9 +598,9 @@ class TestAppendMany:
         capacity = rng.choice([2, 3, 5, 20])
         buffer_ms = rng.choice([0, 3, 10, 1000])
         events = random_events(rng, 600, buffer_ms)
-        one = MetricStore(capacity_per_key=capacity, out_of_order_buffer_ms=buffer_ms)
+        one = new_store(capacity, buffer_ms)
         kept_one = sum(one.append(MetricSample(t, *key, v)) for key, t, v in events)
-        many = MetricStore(capacity_per_key=capacity, out_of_order_buffer_ms=buffer_ms)
+        many = new_store(capacity, buffer_ms)
         kept_many = sum(many.append_many(columns) for columns, _ in batches(rng, events))
         want, counts = sequential_reference(events, capacity, buffer_ms)
         assert store_state(one) == store_state(many)
@@ -608,9 +612,9 @@ class TestAppendMany:
     def test_duplicate_of_evicted_point_is_accepted(self):
         key = sample().key
         ts, values = [10, 20, 30, 40, 10], [1.0, 2.0, 3.0, 4.0, 5.0]
-        many = MetricStore(capacity_per_key=3, out_of_order_buffer_ms=10_000)
+        many = new_store(3, 10_000)
         many.append_many({key: (ts, values)})
-        one = MetricStore(capacity_per_key=3, out_of_order_buffer_ms=10_000)
+        one = new_store(3, 10_000)
         for t, v in zip(ts, values):
             one.append(sample(ts=t, value=v))
         assert store_state(many) == store_state(one)
@@ -624,7 +628,7 @@ class TestAppendMany:
 
     def test_load_file_matches_sequential_appends(self, tmp_path):
         paths = write_corpus(tmp_path)
-        stores = [MetricStore(capacity_per_key=500, out_of_order_buffer_ms=0) for _ in range(2)]
+        stores = [new_store(500, 0) for _ in range(2)]
         for store in stores:  # a newer point makes the older part of the file late
             store.append(sample(ts=2_000_000, metric="mem_used"))
         file_stats = stores[0].load_file(paths[0])
@@ -643,7 +647,7 @@ class TestAppendMany:
 @pytest.fixture
 def tcp_store():
     config = IngestConfig(listen_endpoint="127.0.0.1:0")
-    store = MetricStore.from_config(config)
+    store = MetricStore(config)
     listener = IngestListener(config, store)
     listener.start()
     try:

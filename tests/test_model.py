@@ -54,19 +54,15 @@ class TestMetricSeries:
 
 class TestAlign:
     def test_one_sample_per_bucket(self):
-        m = align([series([(0, 1.0), (1000, 3.0)])], interval_ms=1000, aggregation="mean")
+        m = align([series([(0, 1.0), (1000, 3.0)])], interval_ms=1000)
         assert m.n_rows == 2
         assert m.values[0, 0] == 1.0
         assert m.values[1, 0] == 3.0
 
     def test_mean_of_cobucketed(self):
-        m = align([series([(0, 1.0), (500, 3.0)])], interval_ms=1000, aggregation="mean")
+        m = align([series([(0, 1.0), (500, 3.0)])], interval_ms=1000)
         assert m.n_rows == 1
         assert m.values[0, 0] == 2.0
-
-    def test_last_of_cobucketed(self):
-        m = align([series([(0, 1.0), (500, 3.0)])], interval_ms=1000, aggregation="last")
-        assert m.values[0, 0] == 3.0
 
     def test_disjoint_timestamps_get_absent_cells(self):
         a = series([(0, 1.0)], key=("10.0.0.1", "web", "a"))
@@ -89,7 +85,7 @@ class TestAlign:
         ts = np.sort(rng.choice(np.arange(0, 5000), size=60, replace=False))
         vals = rng.normal(size=60)
         s = series(list(zip(ts.tolist(), vals.tolist())))
-        m = align([s], interval_ms=700, aggregation="mean")
+        m = align([s], interval_ms=700)
         for t in range(m.n_rows):
             lo = m.start_ms + t * 700
             in_bucket = vals[(ts >= lo) & (ts < lo + 700)]

@@ -35,7 +35,7 @@ class TestAnalyzeService:
     def test_scores_and_graph(self, faulted_series):
         spec, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_service(DB, db_series, ECONF, PCONF, ACONF, SETTINGS)
+        analysis = analyze_service(DB, db_series, ECONF, PCONF, SETTINGS)
         assert analysis.status.metric_scores["cpu_util"] > 5.0
         assert analysis.status.metric_scores["mem_used"] < 5.0
         assert analysis.graph is not None
@@ -44,21 +44,21 @@ class TestAnalyzeService:
     def test_health_report_present(self, faulted_series):
         _, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_service(DB, db_series, ECONF, PCONF, ACONF, SETTINGS)
+        analysis = analyze_service(DB, db_series, ECONF, PCONF, SETTINGS)
         assert analysis.status.health is not None
         assert analysis.status.health.score >= 0.0
 
     def test_short_series_warns_not_crashes(self):
         key = MetricKey(DB.ip, DB.service, "tiny")
         series = {key: MetricSeries(key, np.arange(10), np.arange(10.0))}
-        analysis = analyze_service(DB, series, ECONF, PCONF, ACONF, SETTINGS)
+        analysis = analyze_service(DB, series, ECONF, PCONF, SETTINGS)
         assert analysis.status.metric_scores == {}
         assert analysis.warnings
 
     def test_all_empty_series_skip_structure_learning(self):
         keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
         series = {k: MetricSeries(k, np.array([], np.int64), np.array([])) for k in keys}
-        analysis = analyze_service(DB, series, ECONF, PCONF, ACONF, SETTINGS)
+        analysis = analyze_service(DB, series, ECONF, PCONF, SETTINGS)
         assert analysis.graph is None
         assert any(w.startswith("structure learning skipped") for w in analysis.warnings)
 
@@ -118,7 +118,7 @@ class TestBaselineCut:
         monkeypatch.setattr(
             pipeline, "learn_metric_graph", lambda m, c: seen.append(m) or learn_metric_graph(m, c)
         )
-        got = analyze_service(DB, series, ECONF, PCONF, ACONF, settings).graph
+        got = analyze_service(DB, series, ECONF, PCONF, settings).graph
         assert (seen[0].start_ms, seen[0].interval_ms) == (full.start_ms, interval)
         assert seen[0].columns == full.columns
         np.testing.assert_array_equal(seen[0].values, rows)

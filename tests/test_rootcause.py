@@ -19,7 +19,7 @@ WEB = ServiceNode("10.0.0.1", "web")
 APP = ServiceNode("10.0.0.2", "app")
 DB = ServiceNode("10.0.0.3", "db")
 CHAIN = ServiceDependencyGraph(nodes=[WEB, APP, DB], edges=[(0, 1), (1, 2)])
-CFG = AnomalyConfig(z_threshold=3.0, baseline_len=30)
+CFG = AnomalyConfig(z_threshold=3.0)
 
 
 def report_with(score, node=DB, threshold=0.5):
@@ -55,12 +55,12 @@ class TestZScore:
 
 class TestCusum:
     def test_constant_series_no_change(self):
-        assert cusum_change(np.full(200, 5.0), mu0=5.0, sigma=1.0, cfg=CFG) == []
+        assert cusum_change(np.full(200, 5.0), mu0=5.0, sigma=1.0, k=0.5, h=5.0) == []
 
     def test_single_step_exceedance(self):
         x = np.zeros(100)
         x[50:] += 10.0  # +10 sigma step
-        alarms = cusum_change(x, mu0=0.0, sigma=1.0, cfg=CFG)
+        alarms = cusum_change(x, mu0=0.0, sigma=1.0, k=0.5, h=5.0)
         assert alarms and alarms[0] == 50
 
     def test_small_shift_detected_within_budget(self):
@@ -69,7 +69,7 @@ class TestCusum:
         for _ in range(100):
             x = rng.normal(size=400)
             x[200:] += 2.0
-            alarms = cusum_change(x, mu0=0.0, sigma=1.0, cfg=CFG)
+            alarms = cusum_change(x, mu0=0.0, sigma=1.0, k=0.5, h=5.0)
             first_after = next((a for a in alarms if a >= 200), None)
             if first_after is not None and first_after <= 230:
                 hits += 1
@@ -78,7 +78,7 @@ class TestCusum:
     def test_downward_shift_detected(self):
         x = np.zeros(100)
         x[40:] -= 10.0
-        alarms = cusum_change(x, mu0=0.0, sigma=1.0, cfg=CFG)
+        alarms = cusum_change(x, mu0=0.0, sigma=1.0, k=0.5, h=5.0)
         assert alarms and alarms[0] == 40
 
 

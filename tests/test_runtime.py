@@ -9,6 +9,8 @@ from availkit.errors import ParamOutOfBounds
 from availkit.faultsim import simulate
 from availkit.maintenance import ActionKind, parse_action_xml
 from availkit.model import ServiceNode
+from availkit.pipeline import DiagnosisSettings
+from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
 from availkit.scenarios import DB, degradation_spec
 
@@ -124,6 +126,25 @@ class TestRuntime:
 
     def test_entry_defaults_to_first_topology_node(self, degraded_runtime):
         assert degraded_runtime.entry_node() == degraded_runtime.topology.nodes[0]
+
+    def test_config_theta_is_the_one_alarm_threshold(self, degraded_sim):
+        config = EngineConfig(
+            topology_path=str(degraded_sim.topology_path),
+            anomaly=AnomalyConfig(z_threshold=1e9),  # only entropy alarms count
+            diagnosis=DiagnosisSettings(theta=50.0),
+        )
+        runtime = EngineRuntime(config)
+        try:
+            runtime.store.load_file(degraded_sim.metrics_path)
+            entry = runtime.entry_node()
+            assert runtime.get_params()["alarm_threshold"] == 50.0
+            assert not runtime.health(DB).alarm
+            assert runtime.run_diagnosis(entry).anomalous_services == set()
+            runtime.set_params({"alarm_threshold": 0.01})
+            assert runtime.health(DB).alarm  # not the report cached at 50
+            assert DB in runtime.run_diagnosis(entry).anomalous_services
+        finally:
+            runtime.stop()
 
 
 class TestLoop:

@@ -311,7 +311,7 @@ def cmd_simulate(args) -> int:
         )
     else:
         raise EngineError("either --spec or --random is required")
-    out = simulate(spec, args.out)
+    out = _checked("simulate", simulate, spec, args.out)
     doc = {
         "metrics": str(out.metrics_path),
         "events": str(out.events_path),

@@ -44,8 +44,8 @@ class EntropyConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.max_scale < 1 or self.window_len < 1:
             raise ValueError("m, max_scale and window_len must be positive")
-        if not (self.r_fraction > 0) or not (self.alarm_threshold > 0):  # NaN fails too
-            raise ValueError("r_fraction and alarm_threshold must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.r_fraction, self.alarm_threshold)):
+            raise ValueError("r_fraction and alarm_threshold must be finite and positive")
         if self.window_len // self.max_scale < self.m + 2:
             raise ValueError(
                 "window_len/max_scale must leave at least m+2 coarse points"

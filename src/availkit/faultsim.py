@@ -8,10 +8,9 @@ active; a service is "down" while any of its metrics sits more than six
 stationary sigmas from its no-fault mean. Identical seeds give
 byte-identical output files.
 
-Three optional per-metric knobs extend the plain white-noise model: an
-AR(1) smoothing coefficient on the structural innovations, a separate
-white observation-noise scale, and a deterministic seasonal level
-(periodic workload). All default to zero (the plain model); degradation
+Two optional per-metric knobs extend the plain white-noise model: a
+separate white observation-noise scale and a deterministic seasonal level
+(periodic workload). Both default to zero (the plain model); degradation
 scenarios use them to give healthy traffic a regular texture that
 saturation faults then disrupt, which is what makes entropy-based health
 scoring observable at all.
@@ -51,6 +50,17 @@ from .model import (
 _SIM_BLOCK = 512    # ticks of noise and fault effects held at once
 _WRITE_BLOCK = 128  # ticks of metrics.ndjson lines formatted at once
 
+# Each per-metric list of a ServiceModel, in spec-file order, and the value
+# of every entry when the list is omitted.
+PER_METRIC = {
+    "noise_scales": 1.0,
+    "base_levels": 0.0,
+    "measure_noise": 0.0,
+    "seasonal_amp": 0.0,
+    "seasonal_period": 0.0,
+    "seasonal_phase": 0.0,
+}
+
 
 class FaultKind(Enum):
     cpu_hog = "cpu_hog"
@@ -77,11 +87,10 @@ class ServiceModel:
     metrics: list[str]
     edges: list[tuple[int, int]] = field(default_factory=list)  # (parent, child)
     weights: list[float] = field(default_factory=list)
-    noise_scales: list[float] = field(default_factory=list)
+    noise_scales: list[float] | None = None     # innovation scales
     base_levels: list[float] | None = None
-    smoothing: list[float] | None = None        # AR(1) on innovations, default 0
-    measure_noise: list[float] | None = None    # white observation noise, default 0
-    seasonal_amp: list[float] | None = None     # periodic workload amplitude, default 0
+    measure_noise: list[float] | None = None    # white observation noise
+    seasonal_amp: list[float] | None = None     # periodic workload amplitude
     seasonal_period: list[float] | None = None  # period in ticks (0 = none)
     seasonal_phase: list[float] | None = None   # phase offset in radians
     interface_metric: int = 0                   # exported to callers
@@ -89,21 +98,9 @@ class ServiceModel:
     coupling_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        k = len(self.metrics)
-        if not self.noise_scales:
-            self.noise_scales = [1.0] * k
-        if self.base_levels is None:
-            self.base_levels = [0.0] * k
-        if self.smoothing is None:
-            self.smoothing = [0.0] * k
-        if self.measure_noise is None:
-            self.measure_noise = [0.0] * k
-        if self.seasonal_amp is None:
-            self.seasonal_amp = [0.0] * k
-        if self.seasonal_period is None:
-            self.seasonal_period = [0.0] * k
-        if self.seasonal_phase is None:
-            self.seasonal_phase = [0.0] * k
+        for name, default in PER_METRIC.items():  # an omitted or empty list
+            if not getattr(self, name):
+                setattr(self, name, [default] * len(self.metrics))
 
 
 @dataclass
@@ -137,19 +134,9 @@ class SimSpec:
             for i, j in model.edges:
                 if not (0 <= i < k and 0 <= j < k):
                     problems.append(f"{name}: edge ({i},{j}) out of range")
-            for arr, label in (
-                (model.noise_scales, "noise_scales"),
-                (model.base_levels, "base_levels"),
-                (model.smoothing, "smoothing"),
-                (model.measure_noise, "measure_noise"),
-                (model.seasonal_amp, "seasonal_amp"),
-                (model.seasonal_period, "seasonal_period"),
-                (model.seasonal_phase, "seasonal_phase"),
-            ):
-                if arr is not None and len(arr) != k:
+            for label in PER_METRIC:
+                if len(getattr(model, label)) != k:
                     problems.append(f"{name}: {label} not aligned with metrics")
-            if model.smoothing and any(not (0.0 <= phi < 1.0) for phi in model.smoothing):
-                problems.append(f"{name}: smoothing coefficients must lie in [0, 1)")
             if not (0 <= model.interface_metric < k):
                 problems.append(f"{name}: interface_metric out of range")
             if model.coupled_metric is not None and not (0 <= model.coupled_metric < k):
@@ -184,7 +171,6 @@ class _Assembled:
     offsets: list[int]              # global index of each service's metric 0
     minv: np.ndarray                # (I - W)^-1 over all metrics
     coupling: np.ndarray            # one-tick-lag matrix C
-    phi: np.ndarray                 # AR(1) smoothing per metric
     noise: np.ndarray               # innovation scales
     measure: np.ndarray             # observation noise scales
     base: np.ndarray
@@ -232,17 +218,15 @@ def _assemble(spec: SimSpec) -> _Assembled:
         coupled_rows[model.node] = row
 
     minv = np.linalg.inv(np.eye(total) - w)
-    phi = np.concatenate([np.asarray(m.smoothing, dtype=float) for m in spec.services])
-    noise = np.concatenate([np.asarray(m.noise_scales, dtype=float) for m in spec.services])
-    measure = np.concatenate([np.asarray(m.measure_noise, dtype=float) for m in spec.services])
-    base = np.concatenate([np.asarray(m.base_levels, dtype=float) for m in spec.services])
-    amp = np.concatenate([np.asarray(m.seasonal_amp, dtype=float) for m in spec.services])
-    period = np.concatenate([np.asarray(m.seasonal_period, dtype=float) for m in spec.services])
-    phase = np.concatenate([np.asarray(m.seasonal_phase, dtype=float) for m in spec.services])
+    lists = {
+        name: np.concatenate([np.asarray(getattr(m, name), dtype=float) for m in spec.services])
+        for name in PER_METRIC
+    }
+    period = lists["seasonal_period"]
     omega = np.where(period > 0, 2.0 * np.pi / np.where(period > 0, period, 1.0), 0.0)
     return _Assembled(
-        columns, offsets, minv, coupling, phi, noise, measure, base,
-        amp, omega, phase, coupled_rows,
+        columns, offsets, minv, coupling, lists["noise_scales"], lists["measure_noise"],
+        lists["base_levels"], lists["seasonal_amp"], omega, lists["seasonal_phase"], coupled_rows,
     )
 
 
@@ -257,19 +241,16 @@ class StationaryStats:
 def stationary_stats(spec: SimSpec) -> StationaryStats:
     """Analytic no-fault stationary mean/std of every observed metric.
 
-    The system is linear with a one-tick lag, so the stationary covariance
-    solves a discrete Lyapunov equation (solved by fixed-point iteration;
-    the coupling part is nilpotent for acyclic topologies, smoothing keeps
-    the spectral radius below one). The deterministic seasonal level is
-    excluded here; the down-rule compensates for it tick by tick.
+    The system u_t = A u_{t-1} + M e_t (A = M C, M = (I - W)^-1) is linear
+    with a one-tick lag, so the stationary covariance solves the discrete
+    Lyapunov equation S = A S A^T + Q with Q = M diag(noise^2) M^T, solved
+    by fixed-point iteration (A is nilpotent for acyclic topologies). The
+    deterministic seasonal level is excluded here; the down-rule
+    compensates for it tick by tick.
     """
     asm = _assemble(spec)
-    p = len(asm.columns)
-    mc = asm.minv @ asm.coupling
-    mphi = asm.minv @ np.diag(asm.phi)
-    a = np.block([[mc, mphi], [np.zeros((p, p)), np.diag(asm.phi)]])
-    g = np.vstack([asm.minv, np.eye(p)])
-    q = g @ np.diag(asm.noise**2) @ g.T
+    a = asm.minv @ asm.coupling
+    q = asm.minv @ np.diag(asm.noise**2) @ asm.minv.T
 
     sigma = q.copy()
     for _ in range(200000):
@@ -278,12 +259,11 @@ def stationary_stats(spec: SimSpec) -> StationaryStats:
         sigma = nxt
         if delta < 1e-13 * (1.0 + float(np.max(np.abs(sigma)))):
             break
-    var_u = np.diag(sigma)[:p]
-    std = np.sqrt(var_u + asm.measure**2)
+    std = np.sqrt(np.diag(sigma) + asm.measure**2)
 
-    eye2 = np.eye(2 * p)
-    s_lr = np.linalg.solve(eye2 - a, np.linalg.solve(eye2 - a, q.T).T)
-    longrun = np.sqrt(np.maximum(np.diag(s_lr)[:p], 0.0) + asm.measure**2)
+    eye = np.eye(len(asm.columns))
+    s_lr = np.linalg.solve(eye - a, np.linalg.solve(eye - a, q.T).T)
+    longrun = np.sqrt(np.maximum(np.diag(s_lr), 0.0) + asm.measure**2)
     return StationaryStats(mean=asm.base.copy(), std=std, longrun_sd=longrun, columns=asm.columns)
 
 
@@ -341,7 +321,6 @@ def simulate_frames(spec: SimSpec) -> SimFrames:
     limit = 6.0 * stats.std
 
     values = np.empty((n_ticks, p))
-    eps = np.zeros(p)
     u = np.zeros(p)
     down = np.zeros(len(services), dtype=bool)
     events = [UpDownEvent(ts_ms=0, target=node, state="up") for node in spec.topology.nodes]
@@ -376,8 +355,7 @@ def simulate_frames(spec: SimSpec) -> SimFrames:
         eta = draws[:, 0, :] * s_eff
         u_block = np.empty((hi - lo, p))
         for i, coupling in enumerate(_couplings_per_tick(asm.coupling, rescales, rescaled)):
-            eps = asm.phi * eps + eta[i]
-            u = asm.minv @ (coupling @ u + eps + shift[i])
+            u = asm.minv @ (coupling @ u + eta[i] + shift[i])
             u_block[i] = u
         seasonal = asm.seasonal_at(ticks[:, None])
         obs = asm.base + seasonal + u_block + draws[:, 1, :] * mn_eff
@@ -571,13 +549,7 @@ def spec_to_dict(spec: SimSpec) -> dict:
                 "metrics": list(m.metrics),
                 "edges": [[i, j] for i, j in m.edges],
                 "weights": list(m.weights),
-                "noise_scales": list(m.noise_scales),
-                "base_levels": list(m.base_levels or []),
-                "smoothing": list(m.smoothing or []),
-                "measure_noise": list(m.measure_noise or []),
-                "seasonal_amp": list(m.seasonal_amp or []),
-                "seasonal_period": list(m.seasonal_period or []),
-                "seasonal_phase": list(m.seasonal_phase or []),
+                **{name: list(getattr(m, name)) for name in PER_METRIC},
                 "interface_metric": m.interface_metric,
                 "coupled_metric": m.coupled_metric,
                 "coupling_weight": m.coupling_weight,
@@ -600,23 +572,24 @@ def spec_to_dict(spec: SimSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> SimSpec:
+    """The SimSpec of a spec document; an unknown service key raises ValueError."""
     topology = ServiceDependencyGraph.from_dict(doc["topology"])
     services = []
     for svc in doc.get("services", []):
         node = ServiceNode(str(svc["ip"]), str(svc["service"]))
+        unknown = set(svc) - set(PER_METRIC) - {
+            "ip", "service", "metrics", "edges", "weights",
+            "interface_metric", "coupled_metric", "coupling_weight",
+        }
+        if unknown:
+            raise ValueError(f"service {node.label()}: unknown key(s) {sorted(unknown)}")
         services.append(
             ServiceModel(
                 node=node,
                 metrics=[str(m) for m in svc["metrics"]],
                 edges=[(int(e[0]), int(e[1])) for e in svc.get("edges", [])],
                 weights=[float(w) for w in svc.get("weights", [])],
-                noise_scales=[float(v) for v in svc.get("noise_scales", [])] or None,
-                base_levels=[float(v) for v in svc.get("base_levels", [])] or None,
-                smoothing=[float(v) for v in svc.get("smoothing", [])] or None,
-                measure_noise=[float(v) for v in svc.get("measure_noise", [])] or None,
-                seasonal_amp=[float(v) for v in svc.get("seasonal_amp", [])] or None,
-                seasonal_period=[float(v) for v in svc.get("seasonal_period", [])] or None,
-                seasonal_phase=[float(v) for v in svc.get("seasonal_phase", [])] or None,
+                **{name: [float(v) for v in svc.get(name, [])] for name in PER_METRIC},
                 interface_metric=int(svc.get("interface_metric", 0)),
                 coupled_metric=(
                     None if svc.get("coupled_metric") is None else int(svc["coupled_metric"])

@@ -329,10 +329,6 @@ class MetricStore:
         with self._lock:
             return sorted(self._data)
 
-    def services(self) -> list[ServiceNode]:
-        with self._lock:
-            return sorted({ServiceNode(k.ip, k.service) for k in self._data})
-
     def _snapshot(self, wanted) -> dict[MetricKey, MetricSeries]:
         # np.array copies: a view would alias the columns, and the next
         # append that resizes them would raise BufferError.

@@ -253,10 +253,6 @@ class MetricDependencyGraph:
         if any(i == j for i, j in self.directed) or any(i == j for i, j in self.undirected):
             raise ValueError("self loops are not allowed")
 
-    def adjacent(self, i: int, j: int) -> bool:
-        a, b = min(i, j), max(i, j)
-        return (a, b) in self.undirected or (i, j) in self.directed or (j, i) in self.directed
-
     def parents_of(self, j: int) -> set[int]:
         """Directed parents plus undirected neighbours (both ways count)."""
         out = {i for (i, k) in self.directed if k == j}
@@ -276,14 +272,6 @@ class MetricDependencyGraph:
             "directed": sorted([list(e) for e in self.directed]),
             "undirected": sorted([list(e) for e in self.undirected]),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricDependencyGraph":
-        return cls(
-            metrics=[str(m) for m in doc.get("metrics", [])],
-            directed={(int(e[0]), int(e[1])) for e in doc.get("directed", [])},
-            undirected={(int(e[0]), int(e[1])) for e in doc.get("undirected", [])},
-        )
 
 
 def topological_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:

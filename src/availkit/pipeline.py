@@ -98,7 +98,7 @@ def analyze_service(
     windows: dict[str, np.ndarray] = {}
     for key, series in series_map.items():
         values = series.values
-        if len(values) < baseline_n + 1 or window_n == 0:
+        if window_n == 0 or len(values) < baseline_n + window_n:
             warnings.append(f"{key.metric}: too short for baseline/window split")
             continue
         baseline = values[:baseline_n]

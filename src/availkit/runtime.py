@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .availability import availability as availability_stats
@@ -31,6 +31,7 @@ from .rootcause import Diagnosis
 log = logging.getLogger(__name__)
 
 MAX_SUBSCRIPTIONS = 64  # every subscription runs on the one loop thread
+KEPT_ACTIONS = 100      # newest emitted maintenance messages kept in EngineRuntime.actions
 
 
 @dataclass
@@ -78,7 +79,7 @@ class EngineRuntime:
         self._subscriptions: dict[str, Subscription] = {}
         self._sub_counter = itertools.count(1)
         self._action_counter = itertools.count(1)
-        self.actions: list[str] = []  # emitted maintenance messages (XML)
+        self.actions: deque[str] = deque(maxlen=KEPT_ACTIONS)  # emitted maintenance messages (XML)
         self.loop = MaintenanceLoop(
             self.maintenance_evaluate, self.emit_action, self.config.maintenance_cycle_s
         )
@@ -113,10 +114,7 @@ class EngineRuntime:
         with self._lock:
             entropy, pc = self.config.entropy, self.config.pc
             if "alarm_threshold" in updates:
-                threshold = float(updates["alarm_threshold"])
-                if not math.isfinite(threshold):
-                    raise ValueError("alarm_threshold must be finite")
-                entropy = replace(entropy, alarm_threshold=threshold)
+                entropy = replace(entropy, alarm_threshold=float(updates["alarm_threshold"]))
             if "alpha" in updates:
                 pc = replace(pc, alpha=float(updates["alpha"]))
             if "maintenance_cycle_s" in updates:  # the last check, so a rejection applies nothing

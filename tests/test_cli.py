@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from availkit import cli
 from availkit.bus import MethodBus
 from availkit.cli import main
 from availkit.faultsim import FaultKind, generate_random_spec, simulate
+from availkit.faultsim import save_spec
 from availkit.scenarios import three_tier_with_fault
 
 
@@ -439,6 +441,21 @@ class TestJsonDocuments:
         code, out, err = run_cli(capsys, *argv, str(path), *extra.get(argv[0], []))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(path) in err
+
+
+class TestSimulateErrors:
+    def test_overflowing_spec_is_domain_error(self, tmp_path, capsys):
+        # the leak's shift overflows to inf and then nan
+        spec = three_tier_with_fault(FaultKind.mem_leak, seed=1, start_tick=10, end_tick=20,
+                                     duration_ticks=30)
+        spec.faults[0] = replace(spec.faults[0], magnitude=1e308)
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "simulate", "--spec", str(path),
+                                     "--out", str(tmp_path / "sim"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: simulate: ") and "Traceback" not in err
 
 
 class TestServeConfig:

@@ -6,8 +6,10 @@ import pytest
 
 from availkit.availability import UpDownEvent, load_event_log
 from availkit.errors import DegenerateSpec, InvalidSpec
+from availkit.errors import MalformedRecord
 from availkit.faultsim import (
     _SIM_BLOCK,
+    PER_METRIC,
     FaultEvent,
     FaultKind,
     ServiceModel,
@@ -141,7 +143,6 @@ def reference_frames(spec):
         service_of.setdefault(ServiceNode(key.ip, key.service), []).append(g)
 
     values = np.zeros((spec.duration_ticks, p))
-    eps = np.zeros(p)
     u = np.zeros(p)
     events = [UpDownEvent(ts_ms=0, target=node, state="up") for node in spec.topology.nodes]
     state_down = {node: False for node in spec.topology.nodes}
@@ -180,8 +181,7 @@ def reference_frames(spec):
                         coupling_scaled = True
                     coupling[row, :] *= 1.0 + fault.magnitude
         eta = rng.normal(size=p) * s_eff
-        eps = asm.phi * eps + eta
-        u = asm.minv @ (coupling @ u + eps + shift)
+        u = asm.minv @ (coupling @ u + eta + shift)
         seasonal = asm.seasonal_at(t)
         obs = asm.base + seasonal + u + rng.normal(size=p) * mn_eff
         values[t] = obs
@@ -202,10 +202,8 @@ def reference_frames(spec):
 B = _SIM_BLOCK
 
 
-def _smoothed_spec():
+def _seasonal_boundaries_spec():
     spec = three_tier_spec(seed=19, duration_ticks=B + 300, seasonal=True)
-    for model in spec.services:
-        model.smoothing = [0.6] * len(model.metrics)
     spec.faults = [
         FaultEvent(B - 200, B + 100, (DB, "mem_used"), FaultKind.mem_leak, 3.0),
         FaultEvent(B - 1, B + 1, (DB, "io_wait"), FaultKind.io_saturation, 20.0),
@@ -247,7 +245,7 @@ ORACLE_SPECS = {
     },
     "degradation": lambda: degradation_spec(3, start_tick=B - 1, end_tick=2 * B + 1,
                                             duration_ticks=2 * B + 100),
-    "smoothing": _smoothed_spec,
+    "seasonal_boundaries": _seasonal_boundaries_spec,
     "overlapping_slowdowns": _overlapping_slowdowns_spec,
     "random_topology": _random_topology_spec,
 }
@@ -364,3 +362,30 @@ class TestSpecSerialization:
         frames_a = simulate_frames(spec)
         frames_b = simulate_frames(loaded)
         assert np.array_equal(frames_a.values, frames_b.values)
+
+    def test_round_trip_file_keeps_every_per_metric_list(self, tmp_path):
+        spec = three_tier_spec(seed=47, duration_ticks=200, seasonal=True)
+        for i, model in enumerate(spec.services):
+            k = len(model.metrics)
+            for j, (name, default) in enumerate(PER_METRIC.items()):
+                # distinct from the default and from every other list
+                values = [default + 0.5 + 0.1 * j + 0.01 * i + 0.001 * g for g in range(k)]
+                if name == "seasonal_period":
+                    values = [40.0 + v for v in values]
+                setattr(model, name, values)
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        loaded = load_spec(path)
+        for model, back in zip(spec.services, loaded.services):
+            for name in PER_METRIC:
+                assert getattr(back, name) == getattr(model, name), name
+        assert np.array_equal(simulate_frames(loaded).values, simulate_frames(spec).values)
+
+    def test_removed_smoothing_key_rejected(self, tmp_path):
+        doc = spec_to_dict(three_tier_spec(seed=0, duration_ticks=50))
+        doc["services"][2]["smoothing"] = [0.6] * len(doc["services"][2]["metrics"])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecord, match="smoothing") as exc:
+            load_spec(path)
+        assert str(path) in str(exc.value)

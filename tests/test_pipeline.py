@@ -55,6 +55,18 @@ class TestAnalyzeService:
         assert analysis.status.metric_scores == {}
         assert analysis.warnings
 
+    def test_window_never_overlaps_baseline(self):
+        # 800 + 600 points are needed; at 1,000 the newest 600 would reach into the baseline
+        keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
+        rng = np.random.default_rng(3)
+        series = {k: MetricSeries(k, np.arange(1000) * 1000, rng.normal(size=1000)) for k in keys}
+        settings = DiagnosisSettings(baseline_n=800, window_n=600)
+        analysis = analyze_service(DB, series, ECONF, PCONF, settings)
+        assert analysis.status.metric_scores == {}
+        assert analysis.status.health is None
+        for metric in ("a", "b"):
+            assert f"{metric}: too short for baseline/window split" in analysis.warnings
+
     def test_all_empty_series_skip_structure_learning(self):
         keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
         series = {k: MetricSeries(k, np.array([], np.int64), np.array([])) for k in keys}

@@ -5,13 +5,16 @@ import time
 import pytest
 
 from availkit.config import EngineConfig, load_config, policy_to_dict
+from availkit.config import config_from_dict
 from availkit.errors import ParamOutOfBounds
+from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
 from availkit.maintenance import ActionKind, parse_action_xml
 from availkit.model import ServiceNode
 from availkit.pipeline import DiagnosisSettings
 from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
+from availkit.runtime import KEPT_ACTIONS
 from availkit.scenarios import DB, degradation_spec
 
 
@@ -78,6 +81,11 @@ class TestConfigFile:
         assert config.entry == ServiceNode("10.0.0.1", "web")
         assert config.maintenance_cycle_s == 120
 
+    @pytest.mark.parametrize("field", ["r_fraction", "alarm_threshold"])
+    def test_infinite_entropy_setting_rejected(self, field):
+        with pytest.raises(MalformedRecord, match="entropy"):
+            config_from_dict({"entropy": {field: float("inf")}})
+
     def test_policy_round_trip(self):
         from availkit.maintenance import default_policy
 
@@ -113,6 +121,13 @@ class TestRuntime:
         assert action.target == DB
         degraded_runtime.emit_action("<maintenance_action/>")
         assert degraded_runtime.actions
+
+    def test_action_log_keeps_the_newest(self, fresh_runtime):
+        for i in range(KEPT_ACTIONS + 5):
+            fresh_runtime.emit_action(f"<maintenance_action id='{i}'/>")
+        assert len(fresh_runtime.actions) == KEPT_ACTIONS
+        assert fresh_runtime.actions[0] == "<maintenance_action id='5'/>"
+        assert fresh_runtime.actions[-1] == f"<maintenance_action id='{KEPT_ACTIONS + 4}'/>"
 
     def test_period_beyond_float_range_rejected(self, fresh_runtime):
         # used to raise OverflowError from the loop's due-time arithmetic

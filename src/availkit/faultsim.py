@@ -296,6 +296,7 @@ def _couplings_per_tick(
     return [matrices[k] for k in which.reshape(-1).tolist()]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # simulate's finiteness check reports an overflow
 def simulate_frames(spec: SimSpec) -> SimFrames:
     """Run the simulation and keep everything in memory."""
     spec.validate()
@@ -571,18 +572,21 @@ def spec_to_dict(spec: SimSpec) -> dict:
     }
 
 
+def _reject_unknown(doc: dict, known, where: str) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
 def spec_from_dict(doc: dict) -> SimSpec:
-    """The SimSpec of a spec document; an unknown service key raises ValueError."""
+    """The SimSpec of a spec document; a key spec_to_dict does not write raises ValueError."""
+    _reject_unknown(doc, ("tick_ms", "duration_ticks", "seed", "topology", "services", "faults"), "spec")
     topology = ServiceDependencyGraph.from_dict(doc["topology"])
     services = []
     for svc in doc.get("services", []):
         node = ServiceNode(str(svc["ip"]), str(svc["service"]))
-        unknown = set(svc) - set(PER_METRIC) - {
-            "ip", "service", "metrics", "edges", "weights",
-            "interface_metric", "coupled_metric", "coupling_weight",
-        }
-        if unknown:
-            raise ValueError(f"service {node.label()}: unknown key(s) {sorted(unknown)}")
+        _reject_unknown(svc, [*PER_METRIC, "ip", "service", "metrics", "edges", "weights", "interface_metric",
+                              "coupled_metric", "coupling_weight"], f"service {node.label()}")
         services.append(
             ServiceModel(
                 node=node,
@@ -598,7 +602,8 @@ def spec_from_dict(doc: dict) -> SimSpec:
             )
         )
     faults = []
-    for f in doc.get("faults", []):
+    for i, f in enumerate(doc.get("faults", [])):
+        _reject_unknown(f, ("start_tick", "end_tick", "ip", "service", "metric", "kind", "magnitude"), f"fault {i}")
         faults.append(
             FaultEvent(
                 start_tick=int(f["start_tick"]),

@@ -1,9 +1,12 @@
 """End-to-end diagnosis over a store of metric series.
 
-For every topology service this splits each metric series into a baseline
-prefix and a detection window, computes z-scores and the entropy health
-report on the window, learns the metric dependency CPDAG from baseline
-rows, and feeds everything into the two-level localization.
+`cut_service` cuts each service's series once: the baseline (first
+baseline_n points), the detection window (newest window_n), the health
+window (newest entropy window_len) and the PC input (up to the last
+baseline bucket). A diagnosis scores z and entropy health on the
+detection windows, learns the metric CPDAG from the PC input and feeds
+both into the two-level localization; it reuses a health report already
+scored on the same windows.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .causal import PCConfig, learn_metric_graph
-from .entropy import EntropyConfig, health_score
+from .entropy import EntropyConfig, HealthReport, health_score
 from .errors import EngineError, NoUsableMetric
 from .model import MetricDependencyGraph, MetricKey, MetricSeries, ServiceDependencyGraph, ServiceNode, align
 from .rootcause import AnomalyConfig, Diagnosis, ServiceStatus, localize, service_anomaly, zscore_anomaly
@@ -49,29 +52,65 @@ class DiagnosisSettings:
 
 def infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
     """Smallest positive timestamp step over all series (1000 when none)."""
-    diffs = []
-    for series in series_map.values():
-        if series.ts.size >= 2:
-            d = np.diff(series.ts)
-            d = d[d > 0]
-            if d.size:
-                diffs.append(int(d.min()))
-    return min(diffs) if diffs else 1000
+    steps = (d[d > 0] for d in (np.diff(series.ts) for series in series_map.values()))
+    return min((int(d.min()) for d in steps if d.size), default=1000)
 
 
-def _split_lengths(
-    series_map: Mapping[MetricKey, MetricSeries],
-    econf: EntropyConfig,
-    settings: DiagnosisSettings,
-) -> tuple[int, int]:
+@dataclass
+class ServiceCut:
+    """One service's series map cut into the windows the engine reads."""
+
+    baseline: dict[str, np.ndarray]   # first baseline_n points of each metric long enough to split
+    detection: dict[str, np.ndarray]  # newest window_n points of the same metrics
+    health: dict[str, np.ndarray]     # newest entropy window_len points of every non-empty metric
+    pc_input: list[MetricSeries]      # every series cut at the last baseline bucket
+    interval_ms: int
+    warnings: list[str]
+    detection_is_health: bool = False  # the detection windows are exactly the health windows
+
+
+def cut_service(
+    series_map: Mapping[MetricKey, MetricSeries], econf: EntropyConfig,
+    settings: DiagnosisSettings = DiagnosisSettings(),
+) -> ServiceCut:
+    """Cut one service's series once, as views of the stored columns. The
+    baseline defaults to half the shortest series (at least
+    MIN_DEFAULT_BASELINE_N points), the detection window to the entropy
+    window, shortened so it never overlaps the baseline. A series shorter
+    than both has no baseline or detection window, and a warning says so."""
     shortest = min((len(s) for s in series_map.values()), default=0)
-    baseline_n = settings.baseline_n
-    if baseline_n is None:
-        baseline_n = max(MIN_DEFAULT_BASELINE_N, shortest // 2)
-    window_n = settings.window_n
-    if window_n is None:
-        window_n = min(econf.window_len, max(0, shortest - baseline_n))
-    return baseline_n, window_n
+    baseline_n = settings.baseline_n or max(MIN_DEFAULT_BASELINE_N, shortest // 2)
+    window_n = settings.window_n or min(econf.window_len, max(0, shortest - baseline_n))
+    cut = ServiceCut({}, {}, {}, [], settings.interval_ms or infer_interval(series_map), [])
+    # The PC input aligns only the first baseline_n buckets: cut each series
+    # at the newest baseline timestamp. The buckets start where align's do;
+    # with no point at all, align raises EmptyInput.
+    t_min = min((int(s.ts[0]) for s in series_map.values() if len(s)), default=0)
+    last_ms = min((t_min // cut.interval_ms + baseline_n) * cut.interval_ms - 1, np.iinfo(np.int64).max)
+    for key, series in series_map.items():
+        values = series.values
+        if values.size:
+            cut.health[key.metric] = values[-econf.window_len :]
+        if window_n and len(values) >= baseline_n + window_n:
+            cut.baseline[key.metric] = values[:baseline_n]
+            cut.detection[key.metric] = values[-window_n:]
+        else:
+            cut.warnings.append(f"{key.metric}: too short for baseline/window split")
+        end = int(np.searchsorted(series.ts, last_ms, side="right"))
+        cut.pc_input.append(MetricSeries(key, series.ts[:end], values[:end]))
+    cut.detection_is_health = window_n == econf.window_len and cut.detection.keys() == cut.health.keys()
+    return cut
+
+
+def cut_services(
+    series_by_key: Mapping[MetricKey, MetricSeries], nodes: list[ServiceNode],
+    econf: EntropyConfig, settings: DiagnosisSettings = DiagnosisSettings(),
+) -> dict[ServiceNode, ServiceCut]:
+    """The cut of each of nodes that has a series, in nodes' order."""
+    per_service: dict[ServiceNode, dict[MetricKey, MetricSeries]] = {}
+    for key, series in series_by_key.items():
+        per_service.setdefault(ServiceNode(key.ip, key.service), {})[key] = series
+    return {node: cut_service(per_service[node], econf, settings) for node in nodes if node in per_service}
 
 
 @dataclass
@@ -80,6 +119,35 @@ class ServiceAnalysis:
     status: ServiceStatus
     graph: MetricDependencyGraph | None
     warnings: list[str]
+
+
+def analyze_cut(
+    node: ServiceNode, cut: ServiceCut, econf: EntropyConfig, pconf: PCConfig,
+    settings: DiagnosisSettings = DiagnosisSettings(), computed_at_ms: int | None = None,
+    health: HealthReport | None = None,
+) -> ServiceAnalysis:
+    """Scores, health report and learned metric graph for one service cut;
+    health, a report on the cut's health windows, stands in for scoring the
+    detection windows when they are the same and it has econf's threshold."""
+    warnings = list(cut.warnings)
+    zscores = {metric: zscore_anomaly(cut.baseline[metric], window) for metric, window in cut.detection.items()}
+    if not (cut.detection_is_health and health is not None and health.threshold == econf.alarm_threshold):
+        health = None
+        if cut.detection:
+            try:
+                health = health_score(node, cut.detection, econf, computed_at_ms=computed_at_ms)
+            except NoUsableMetric as exc:
+                warnings.append(str(exc))
+
+    graph: MetricDependencyGraph | None = None
+    if len(cut.pc_input) >= 2:
+        try:
+            matrix = align(cut.pc_input, interval_ms=cut.interval_ms)
+            matrix.values = matrix.values[:: settings.pc_row_stride]
+            graph = learn_metric_graph(matrix, pconf)
+        except EngineError as exc:
+            warnings.append(f"structure learning skipped: {exc}")
+    return ServiceAnalysis(node, ServiceStatus(health=health, metric_scores=zscores), graph, warnings)
 
 
 def analyze_service(
@@ -91,52 +159,31 @@ def analyze_service(
     computed_at_ms: int | None = None,
 ) -> ServiceAnalysis:
     """Scores, health report and learned metric graph for one service."""
-    warnings: list[str] = []
-    baseline_n, window_n = _split_lengths(series_map, econf, settings)
+    return analyze_cut(node, cut_service(series_map, econf, settings), econf, pconf, settings, computed_at_ms)
 
-    zscores: dict[str, float] = {}
-    windows: dict[str, np.ndarray] = {}
-    for key, series in series_map.items():
-        values = series.values
-        if window_n == 0 or len(values) < baseline_n + window_n:
-            warnings.append(f"{key.metric}: too short for baseline/window split")
-            continue
-        baseline = values[:baseline_n]
-        detection = values[-window_n:]
-        zscores[key.metric] = zscore_anomaly(baseline, detection)
-        windows[key.metric] = detection
 
-    health = None
-    if windows:
-        try:
-            health = health_score(node, windows, econf, computed_at_ms=computed_at_ms)
-        except NoUsableMetric as exc:
-            warnings.append(str(exc))
+def diagnose_cuts(
+    cuts: Mapping[ServiceNode, ServiceCut], topology: ServiceDependencyGraph, entry: ServiceNode,
+    econf: EntropyConfig, pconf: PCConfig, aconf: AnomalyConfig, settings: DiagnosisSettings,
+    produced_at_ms: int | None = None, health: Mapping[ServiceNode, HealthReport | None] | None = None,
+) -> Diagnosis:
+    """Two-level diagnosis from the cuts of topology nodes (a node without
+    one is missing); health holds reports scored on the cuts' health
+    windows (see analyze_cut)."""
+    statuses: dict[ServiceNode, ServiceStatus] = {}
+    graphs: dict[ServiceNode, MetricDependencyGraph] = {}
+    scores: dict[tuple[ServiceNode, str], float] = {}
+    for node, cut in cuts.items():
+        analysis = analyze_cut(node, cut, econf, pconf, settings, produced_at_ms, (health or {}).get(node))
+        for warning in analysis.warnings:
+            log.debug("%s: %s", node.label(), warning)
+        statuses[node] = analysis.status
+        if analysis.graph is not None:
+            graphs[node] = analysis.graph
+        scores.update(((node, metric), score) for metric, score in analysis.status.metric_scores.items())
 
-    graph: MetricDependencyGraph | None = None
-    if len(series_map) >= 2:
-        interval = settings.interval_ms or infer_interval(series_map)
-        # Align only the first baseline_n buckets: cut each series at the
-        # newest baseline timestamp first. The buckets start where align's
-        # do; with no point at all, align raises EmptyInput.
-        t_min = min((int(s.ts[0]) for s in series_map.values() if len(s)), default=0)
-        last_ms = min((t_min // interval + baseline_n) * interval - 1, np.iinfo(np.int64).max)
-        cut_series = []
-        for key, series in series_map.items():
-            cut = int(np.searchsorted(series.ts, last_ms, side="right"))
-            cut_series.append(MetricSeries(key, series.ts[:cut], series.values[:cut]))
-        try:
-            matrix = align(cut_series, interval_ms=interval)
-            matrix.values = matrix.values[:: settings.pc_row_stride]
-            graph = learn_metric_graph(matrix, pconf)
-        except EngineError as exc:
-            warnings.append(f"structure learning skipped: {exc}")
-    return ServiceAnalysis(
-        node=node,
-        status=ServiceStatus(health=health, metric_scores=zscores),
-        graph=graph,
-        warnings=warnings,
-    )
+    assessment = service_anomaly(statuses, topology, aconf, theta=settings.theta)
+    return localize(topology, entry, assessment.anomalous, graphs, scores, aconf, produced_at_ms=produced_at_ms)
 
 
 def diagnose(
@@ -150,33 +197,5 @@ def diagnose(
     produced_at_ms: int | None = None,
 ) -> Diagnosis:
     """Full two-level diagnosis from raw series."""
-    per_service: dict[ServiceNode, dict[MetricKey, MetricSeries]] = {}
-    for key, series in series_by_key.items():
-        per_service.setdefault(ServiceNode(key.ip, key.service), {})[key] = series
-
-    statuses: dict[ServiceNode, ServiceStatus] = {}
-    graphs: dict[ServiceNode, MetricDependencyGraph] = {}
-    scores: dict[tuple[ServiceNode, str], float] = {}
-    for node in topology.nodes:
-        series_map = per_service.get(node)
-        if not series_map:
-            continue  # flagged as missing by service_anomaly
-        analysis = analyze_service(node, series_map, econf, pconf, settings, computed_at_ms=produced_at_ms)
-        for warning in analysis.warnings:
-            log.debug("%s: %s", node.label(), warning)
-        statuses[node] = analysis.status
-        if analysis.graph is not None:
-            graphs[node] = analysis.graph
-        for metric, score in analysis.status.metric_scores.items():
-            scores[(node, metric)] = score
-
-    assessment = service_anomaly(statuses, topology, aconf, theta=settings.theta)
-    return localize(
-        topology,
-        entry,
-        assessment.anomalous,
-        graphs,
-        scores,
-        aconf,
-        produced_at_ms=produced_at_ms,
-    )
+    cuts = cut_services(series_by_key, topology.nodes, econf, settings)
+    return diagnose_cuts(cuts, topology, entry, econf, pconf, aconf, settings, produced_at_ms)

@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 from .availability import availability as availability_stats
 from .availability import load_event_log
 from .bus import InputKind, MethodBus
-from .causal import PCConfig
 from .config import EngineConfig
-from .entropy import EntropyConfig, HealthReport, health_score
+from .entropy import HealthReport, health_score
 from .errors import EngineError, NoUsableMetric, ParamOutOfBounds, TooManySubscriptions
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
-from .pipeline import diagnose, infer_interval
+from .pipeline import ServiceCut, cut_service, cut_services, diagnose, diagnose_cuts, infer_interval
 from .rootcause import Diagnosis
 
 log = logging.getLogger(__name__)
@@ -87,16 +86,6 @@ class EngineRuntime:
 
     # --- parameters ---
 
-    @property
-    def entropy_config(self) -> EntropyConfig:
-        with self._lock:
-            return self.config.entropy
-
-    @property
-    def pc_config(self) -> PCConfig:
-        with self._lock:
-            return self.config.pc
-
     def get_params(self) -> dict:
         with self._lock:
             return {
@@ -124,20 +113,14 @@ class EngineRuntime:
 
     # --- health ---
 
-    def refresh_health(self, node: ServiceNode) -> HealthReport | None:
-        """Compute and cache the entropy health report for one service."""
-        series_map = self.store.series_for_service(node)
-        if not series_map:
-            return None
-        econf = self.entropy_config
-        windows = {}
-        for key, series in series_map.items():
-            if series.values.size:
-                windows[key.metric] = series.values[-econf.window_len :]
-        if not windows:
-            return None
-        try:
-            report = health_score(node, windows, econf)
+    def refresh_health(self, node: ServiceNode, cut: ServiceCut | None = None) -> HealthReport | None:
+        """Compute and cache the entropy health report for one service from
+        the health windows of cut (default: a fresh cut of the store)."""
+        econf = self.config.entropy
+        if cut is None:
+            cut = cut_service(self.store.series_for_service(node), econf, self.config.diagnosis)
+        try:  # no health window at all raises NoUsableMetric too
+            report = health_score(node, cut.health, econf)
         except NoUsableMetric:
             return None
         with self._lock:
@@ -155,16 +138,13 @@ class EngineRuntime:
 
     # --- diagnosis ---
 
-    def run_diagnosis(self, entry: ServiceNode) -> Diagnosis:
-        diag = diagnose(
-            self.store.all_series(),
-            self.topology,
-            entry,
-            econf=self.entropy_config,
-            pconf=self.pc_config,
-            aconf=self.config.anomaly,
-            settings=self.config.diagnosis,
-        )
+    def run_diagnosis(self, entry: ServiceNode, cuts: dict[ServiceNode, ServiceCut] | None = None,
+                      health: dict[ServiceNode, HealthReport | None] | None = None) -> Diagnosis:
+        """Diagnose from entry on a fresh snapshot of the store, or on cuts
+        already taken, reusing the reports in health scored on them."""
+        config = self.config
+        args = (self.topology, entry, config.entropy, config.pc, config.anomaly, config.diagnosis)
+        diag = diagnose(self.store.all_series(), *args) if cuts is None else diagnose_cuts(cuts, *args, health=health)
         with self._lock:
             self._latest_diagnosis = diag
         return diag
@@ -261,25 +241,18 @@ class EngineRuntime:
         return None
 
     def maintenance_evaluate(self) -> MaintenanceAction | None:
-        """One maintenance evaluation: health refresh, diagnose on alarm."""
+        """One maintenance evaluation: cut each service from one snapshot and
+        refresh its health from the cut; on an alarm, diagnose those cuts."""
         entry = self.entry_node()
         if entry is None:
             return None
-        alarmed = False
-        for node in self.topology.nodes:
-            report = self.refresh_health(node)
-            if report is not None and report.alarm:
-                alarmed = True
-        if not alarmed:
+        cuts = cut_services(self.store.all_series(), self.topology.nodes, self.config.entropy, self.config.diagnosis)
+        reports = {node: self.refresh_health(node, cut) for node, cut in cuts.items()}
+        if not any(report is not None and report.alarm for report in reports.values()):
             return None
-        diag = self.run_diagnosis(entry)
-        return decide_action(
-            diag,
-            self.config.policy,
-            action_id=f"act-{next(self._action_counter)}",
-            issued_at_ms=int(time.time() * 1000),
-            cycle_s=self.loop.cycle_s,
-        )
+        diag = self.run_diagnosis(entry, cuts, reports)
+        return decide_action(diag, self.config.policy, action_id=f"act-{next(self._action_counter)}",
+                             issued_at_ms=int(time.time() * 1000), cycle_s=self.loop.cycle_s)
 
     def emit_action(self, xml: str) -> None:
         with self._lock:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -456,6 +459,37 @@ class TestSimulateErrors:
                                      "--out", str(tmp_path / "sim"))
         assert code == 1 and out == ""
         assert err.startswith("error: simulate: ") and "Traceback" not in err
+
+    def test_overflowing_spec_reports_only_the_error(self, tmp_path):
+        # numpy's overflow warnings would go to stderr ahead of the error line
+        spec = three_tier_with_fault(FaultKind.mem_leak, seed=1, start_tick=10, end_tick=20,
+                                     duration_ticks=30)
+        spec.faults[0] = replace(spec.faults[0], magnitude=1e308)
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from availkit.cli import main; sys.exit(main(sys.argv[1:]))",
+             "simulate", "--spec", str(path), "--out", str(tmp_path / "sim")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error: simulate: ") and proc.stderr.count("\n") == 1
+
+    def test_misspelled_spec_key_is_domain_error(self, tmp_path, capsys):
+        spec = three_tier_with_fault(FaultKind.mem_leak, seed=1, start_tick=10, end_tick=20,
+                                     duration_ticks=30)
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        doc = json.loads(path.read_text())
+        doc["sead"], doc["duration_tick"] = doc.pop("seed"), doc.pop("duration_ticks")
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(path), "--out", str(tmp_path / "sim"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert "'duration_tick'" in err and "'sead'" in err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestServeConfig:

@@ -381,6 +381,30 @@ class TestSpecSerialization:
                 assert getattr(back, name) == getattr(model, name), name
         assert np.array_equal(simulate_frames(loaded).values, simulate_frames(spec).values)
 
+    @pytest.mark.parametrize(
+        "key, misspelled",
+        [("seed", "sead"), ("duration_ticks", "duration_tick"), ("tick_ms", "tick_msec"),
+         ("services", "servces"), ("faults", "fault")],
+    )
+    def test_misspelled_top_level_key_rejected(self, tmp_path, key, misspelled):
+        doc = spec_to_dict(degradation_spec(seed=0, duration_ticks=50, start_tick=10, end_tick=40))
+        doc[misspelled] = doc.pop(key)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecord, match=f"spec: unknown key.*'{misspelled}'") as exc:
+            load_spec(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("misspelled", ["magnitud", "start_tik", "kinds"])
+    def test_misspelled_fault_key_rejected(self, tmp_path, misspelled):
+        doc = spec_to_dict(degradation_spec(seed=0, duration_ticks=50, start_tick=10, end_tick=40))
+        doc["faults"][1][misspelled] = 1.0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecord, match=f"fault 1: unknown key.*'{misspelled}'") as exc:
+            load_spec(path)
+        assert str(path) in str(exc.value)
+
     def test_removed_smoothing_key_rejected(self, tmp_path):
         doc = spec_to_dict(three_tier_spec(seed=0, duration_ticks=50))
         doc["services"][2]["smoothing"] = [0.6] * len(doc["services"][2]["metrics"])

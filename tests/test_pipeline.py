@@ -75,6 +75,55 @@ class TestAnalyzeService:
         assert any(w.startswith("structure learning skipped") for w in analysis.warnings)
 
 
+class TestServiceCut:
+    def test_default_cut(self):
+        # 1,000 points: baseline 500, detection 500 (the entropy window would
+        # overlap the baseline), health 600
+        keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
+        values = np.arange(1000.0)
+        series = {k: MetricSeries(k, np.arange(1000) * 1000, values) for k in keys}
+        cut = pipeline.cut_service(series, EntropyConfig())
+        assert list(cut.detection) == list(cut.baseline) == list(cut.health) == ["a", "b"]
+        assert np.array_equal(cut.baseline["a"], values[:500])
+        assert np.array_equal(cut.detection["a"], values[500:])
+        assert np.array_equal(cut.health["a"], values[400:])
+        assert [len(s) for s in cut.pc_input] == [500, 500]
+        assert cut.warnings == [] and cut.interval_ms == 1000
+        assert not cut.detection_is_health
+
+    def test_empty_series_leaves_no_detection_window(self):
+        # the shortest series sets the default split, so an empty one leaves
+        # nothing to detect on; health still scores the others
+        keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "empty")]
+        series = {keys[0]: MetricSeries(keys[0], np.arange(1000) * 1000, np.arange(1000.0)),
+                  keys[1]: MetricSeries(keys[1], np.array([], np.int64), np.array([]))}
+        cut = pipeline.cut_service(series, EntropyConfig())
+        assert cut.detection == {} and list(cut.health) == ["a"]
+        assert cut.warnings == [f"{m}: too short for baseline/window split" for m in ("a", "empty")]
+
+    def test_detection_is_health_at_the_entropy_window(self, faulted_series):
+        _, series = faulted_series
+        db_series = {k: s for k, s in series.items() if k.service == "db"}
+        assert pipeline.cut_service(db_series, ECONF).detection_is_health
+        assert pipeline.cut_service(db_series, ECONF, SETTINGS).detection_is_health
+        settings = DiagnosisSettings(baseline_n=1200, window_n=500)
+        assert not pipeline.cut_service(db_series, ECONF, settings).detection_is_health
+
+    def test_health_report_reused_only_for_the_same_windows_and_threshold(self, faulted_series):
+        _, series = faulted_series
+        db_series = {k: s for k, s in series.items() if k.service == "db"}
+        cut = pipeline.cut_service(db_series, ECONF, SETTINGS)
+        report = pipeline.health_score(DB, cut.health, ECONF)
+        reused = pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS, health=report)
+        assert reused.status.health is report
+        fresh = pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS)
+        assert fresh.status.health.to_dict() | {"computed_at_ms": 0} == report.to_dict() | {"computed_at_ms": 0}
+        other = EntropyConfig(alarm_threshold=0.5)
+        assert pipeline.analyze_cut(DB, cut, other, PCONF, SETTINGS, health=report).status.health.threshold == 0.5
+        cut.detection_is_health = False
+        assert pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS, health=report).status.health is not report
+
+
 def _ragged_service(rng):
     """Metrics a -> b -> c that start at different ticks and have gaps, a
     second sample of c in some ticks' buckets, and a metric d whose first

@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from availkit import entropy
 from availkit.config import EngineConfig, load_config, policy_to_dict
 from availkit.config import config_from_dict
+from availkit.entropy import EntropyConfig, health_score
 from availkit.errors import ParamOutOfBounds
 from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
@@ -160,6 +162,62 @@ class TestRuntime:
             assert DB in runtime.run_diagnosis(entry).anomalous_services
         finally:
             runtime.stop()
+
+
+@pytest.fixture
+def mse_calls(monkeypatch):
+    calls = []
+    original = entropy.mse_curve
+
+    def counted(x, cfg):
+        calls.append(len(x))
+        return original(x, cfg)
+
+    monkeypatch.setattr(entropy, "mse_curve", counted)
+    return calls
+
+
+class TestServiceCut:
+    def test_alarmed_evaluation_scores_each_window_once(self, fresh_runtime, mse_calls):
+        # 13 metrics: the detection windows are the health windows, so the
+        # diagnosis reuses every health report
+        assert fresh_runtime.maintenance_evaluate() is not None
+        assert len(mse_calls) == 13
+        assert set(mse_calls) == {fresh_runtime.config.entropy.window_len}
+
+    def test_distinct_detection_window_is_scored_too(self, degraded_sim, mse_calls):
+        config = EngineConfig(
+            entropy=EntropyConfig(window_len=3000),
+            anomaly=AnomalyConfig(z_threshold=5.0),
+            diagnosis=DiagnosisSettings(baseline_n=1800, window_n=600, pc_row_stride=5),
+            topology_path=str(degraded_sim.topology_path),
+        )
+        runtime = EngineRuntime(config)
+        try:
+            runtime.store.load_file(degraded_sim.metrics_path)
+            assert runtime.maintenance_evaluate() is not None
+        finally:
+            runtime.stop()
+        assert len(mse_calls) == 26
+        assert sorted(set(mse_calls)) == [600, 3000]
+
+    def test_cached_health_is_the_newest_window(self, fresh_runtime):
+        fresh_runtime.maintenance_evaluate()
+        econf = fresh_runtime.config.entropy
+        for node in fresh_runtime.topology.nodes:
+            windows = {key.metric: series.values[-econf.window_len:]
+                       for key, series in fresh_runtime.store.series_for_service(node).items()}
+            cached = fresh_runtime.health(node).to_dict()
+            expected = health_score(node, windows, econf).to_dict()
+            cached.pop("computed_at_ms"), expected.pop("computed_at_ms")
+            assert cached == expected
+
+    def test_evaluation_diagnosis_equals_a_fresh_one(self, fresh_runtime):
+        assert fresh_runtime.maintenance_evaluate() is not None
+        latest = fresh_runtime.latest_diagnosis().to_dict()
+        fresh = fresh_runtime.run_diagnosis(fresh_runtime.entry_node()).to_dict()
+        latest.pop("produced_at_ms"), fresh.pop("produced_at_ms")
+        assert latest == fresh and latest["ranked_causes"]
 
 
 class TestLoop:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import EngineError
+from .ingest import ServerThread
 from .model import ServiceNode
 from .runtime import EngineRuntime
 
@@ -190,27 +190,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._error(404, "not_found")
 
 
-class ControlApiServer:
+class ControlApiServer(ServerThread):
     """Threaded HTTP server bound to a runtime."""
 
     def __init__(self, runtime: EngineRuntime, host: str = "127.0.0.1", port: int = 8080) -> None:
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        super().__init__(ThreadingHTTPServer, (host, port), _Handler, "control-api")
         self._server.runtime = runtime  # type: ignore[attr-defined]
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="control-api", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)

@@ -32,6 +32,7 @@ FIELD_ORDER = ("ts_ms", "ip", "service", "metric", "value")
 BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no faster
 MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
+SHUTDOWN_POLL_S = 0.05  # how often a served thread checks for stop(); stop() waits up to this long
 KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
 
 # key -> (ts, values) in arrival order; a key present here has been validated
@@ -404,48 +405,49 @@ class _LineHandler(socketserver.StreamRequestHandler):
             yield bytes(pending)
 
 
-class IngestListener:
-    """Threaded TCP listener feeding a MetricStore."""
+class ServerThread:
+    """A socketserver server, bound on construction and served on one daemon
+    thread; a bind failure raises BindFailure and leaves no socket open."""
 
-    def __init__(self, config: IngestConfig, store: MetricStore) -> None:
-        host, port = parse_endpoint(config.listen_endpoint)
-        server = None
-        try:
-            server = socketserver.ThreadingTCPServer(
-                (host, port), _LineHandler, bind_and_activate=False
-            )
-            server.allow_reuse_address = True
-            server.server_bind()
-            server.server_activate()
-        except OSError as exc:
-            if server is not None:
-                server.server_close()
-            raise BindFailure(f"cannot bind {config.listen_endpoint}: {exc}") from exc
-        self._server = server
-        self._server.store = store  # type: ignore[attr-defined]
+    def __init__(self, server_cls, address: tuple[str, int], handler, name: str) -> None:
+        self._server = server_cls(address, handler, bind_and_activate=False)
+        self._server.allow_reuse_address = True
         self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
+        try:
+            self._server.server_bind()
+            self._server.server_activate()
+        except OSError as exc:
+            self._server.server_close()
+            raise BindFailure(f"cannot bind {address[0]}:{address[1]}: {exc}") from exc
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(SHUTDOWN_POLL_S,), name=name, daemon=True
+        )
 
     @property
     def endpoint(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="ingest-listener", daemon=True
-        )
         self._thread.start()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread.is_alive():  # shutdown() waits for a serve_forever that never started
+            self._server.shutdown()
             self._thread.join(timeout=5)
+        self._server.server_close()
+
+
+class IngestListener(ServerThread):
+    """Threaded TCP listener feeding a MetricStore."""
+
+    def __init__(self, config: IngestConfig, store: MetricStore) -> None:
+        super().__init__(socketserver.ThreadingTCPServer, parse_endpoint(config.listen_endpoint),
+                         _LineHandler, "ingest-listener")
+        self._server.store = store  # type: ignore[attr-defined]
 
 
 def send_metrics(endpoint: str, lines: list[str]) -> None:
     """Small client helper: stream canonical lines to a listener."""
-    host, _, port = endpoint.rpartition(":")
-    with socket.create_connection((host or "127.0.0.1", int(port))) as conn:
+    with socket.create_connection(parse_endpoint(endpoint)) as conn:
         payload = "".join(lines).encode("utf-8")
         conn.sendall(payload)

@@ -205,10 +205,29 @@ def parse_action_xml(doc: str) -> MaintenanceAction:
 class _Job:
     period: Callable[[], float]  # seconds; read each time the job is rescheduled
     fn: Callable[[], object]
-    due: float  # time.monotonic() deadline
+    due: float  # deadline on the loop's clock
 
 
 _MAINTENANCE = object()  # job id of the maintenance tick
+
+
+class RealClock:
+    """The loop's clock: monotonic seconds, and waits on its condition.
+
+    A MaintenanceLoop calls now() for due times and wait(cond, timeout_s)
+    with cond held; a test passes an object with the same two methods.
+    """
+
+    @staticmethod
+    def now() -> float:
+        return time.monotonic()
+
+    @staticmethod
+    def wait(cond: threading.Condition, timeout_s: float) -> None:
+        cond.wait(min(timeout_s, threading.TIMEOUT_MAX))  # a longer wait overflows
+
+
+REAL_CLOCK = RealClock()
 
 
 def check_cycle_s(value) -> int:
@@ -224,7 +243,8 @@ class MaintenanceLoop:
     evaluate() returns a MaintenanceAction or None; emit() receives the
     serialized XML. Jobs run one at a time, earliest due first; ticks that
     a long run overlaps are skipped (skipped_ticks counts the maintenance
-    tick's). A job that raises is logged and the loop carries on.
+    tick's). A job that raises is logged and the loop carries on. Due
+    times and waits go through clock (see RealClock).
     """
 
     def __init__(
@@ -232,9 +252,11 @@ class MaintenanceLoop:
         evaluate: Callable[[], MaintenanceAction | None],
         emit: Callable[[str], None],
         cycle_s: int,
+        clock=REAL_CLOCK,
     ) -> None:
         self._evaluate = evaluate
         self._emit = emit
+        self._clock = clock
         self._cond = threading.Condition()
         self.set_cycle_s(cycle_s)
         self._stopped = False
@@ -260,7 +282,7 @@ class MaintenanceLoop:
         if not period_s > 0:
             raise ValueError("period_s must be positive")
         with self._cond:
-            self._jobs[job_id] = _Job(lambda: period_s, fn, time.monotonic() + period_s)
+            self._jobs[job_id] = _Job(lambda: period_s, fn, self._clock.now() + period_s)
             self._cond.notify()
 
     def cancel(self, job_id: Hashable) -> bool:
@@ -298,17 +320,16 @@ class MaintenanceLoop:
         with self._cond:
             # the first tick is one cycle after start, at the cycle then in force
             self._jobs[_MAINTENANCE] = _Job(
-                lambda: self._cycle_s, lambda: self.tick(), time.monotonic() + self._cycle_s
+                lambda: self._cycle_s, lambda: self.tick(), self._clock.now() + self._cycle_s
             )
         while True:
             with self._cond:
                 if self._stopped:
                     return
                 job_id, job = min(self._jobs.items(), key=lambda item: item[1].due)
-                wait_s = job.due - time.monotonic()
+                wait_s = job.due - self._clock.now()
                 if wait_s > 0:
-                    # schedule, cancel, set_cycle_s and stop notify; a longer wait overflows
-                    self._cond.wait(min(wait_s, threading.TIMEOUT_MAX))
+                    self._clock.wait(self._cond, wait_s)  # schedule, cancel, set_cycle_s and stop notify
                     continue
             try:
                 job.fn()
@@ -317,7 +338,7 @@ class MaintenanceLoop:
             with self._cond:
                 if self._jobs.get(job_id) is not job:
                     continue  # cancelled or replaced while it ran
-                period, now = job.period(), time.monotonic()
+                period, now = job.period(), self._clock.now()
                 job.due += period
                 while job.due <= now:  # the run overran one or more ticks
                     if job_id is _MAINTENANCE:

@@ -150,18 +150,6 @@ def analyze_cut(
     return ServiceAnalysis(node, ServiceStatus(health=health, metric_scores=zscores), graph, warnings)
 
 
-def analyze_service(
-    node: ServiceNode,
-    series_map: Mapping[MetricKey, MetricSeries],
-    econf: EntropyConfig,
-    pconf: PCConfig,
-    settings: DiagnosisSettings = DiagnosisSettings(),
-    computed_at_ms: int | None = None,
-) -> ServiceAnalysis:
-    """Scores, health report and learned metric graph for one service."""
-    return analyze_cut(node, cut_service(series_map, econf, settings), econf, pconf, settings, computed_at_ms)
-
-
 def diagnose_cuts(
     cuts: Mapping[ServiceNode, ServiceCut], topology: ServiceDependencyGraph, entry: ServiceNode,
     econf: EntropyConfig, pconf: PCConfig, aconf: AnomalyConfig, settings: DiagnosisSettings,

@@ -223,9 +223,6 @@ class EngineRuntime:
             input_value = self._subscription_input(sub)
             sub.latest_payload = self.bus.run(sub.method, input_value, sub.params)
             sub.latest_error = None
-            if sub.method == "mse" and "service" in sub.target:
-                # keep the health cache warm for the GET route
-                self.refresh_health(ServiceNode(sub.target["ip"], sub.target["service"]))
         except (EngineError, ValueError) as exc:
             sub.latest_error = str(exc)
         finally:

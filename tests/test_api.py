@@ -1,13 +1,17 @@
+import gc
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
 from availkit.api import ControlApiServer
 from availkit.availability import UpDownEvent, serialize_event_line
 from availkit.config import EngineConfig
+from availkit.errors import BindFailure
 from availkit.faultsim import FaultKind, simulate
 from availkit.model import ServiceNode
 from availkit.runtime import MAX_SUBSCRIPTIONS, EngineRuntime
@@ -53,6 +57,24 @@ def server(tmp_path_factory):
     yield api
     api.stop()
     runtime.stop()
+
+
+class TestServer:
+    def test_stop_is_prompt(self):
+        api = ControlApiServer(EngineRuntime(), host="127.0.0.1", port=0)
+        api.start()
+        started = time.monotonic()
+        api.stop()
+        assert time.monotonic() - started < 0.2
+
+    def test_bind_failure_closes_its_socket(self, server):
+        host, port = server.endpoint
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BindFailure):
+                ControlApiServer(EngineRuntime(), host=host, port=port)
+            gc.collect()  # a socket left open warns when it is collected
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 class TestMethods:

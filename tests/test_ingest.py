@@ -352,6 +352,19 @@ class TestListener:
             listener.stop()
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
+    def test_stop_is_prompt(self):
+        config = IngestConfig(listen_endpoint="127.0.0.1:0")
+        listener = IngestListener(config, MetricStore(config))
+        listener.start()
+        started = time.monotonic()
+        listener.stop()
+        assert time.monotonic() - started < 0.2
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:abc", "127.0.0.1:70000"])
+    def test_send_metrics_rejects_a_bad_port(self, endpoint):
+        with pytest.raises(ValueError, match="expected host:port"):
+            send_metrics(endpoint, [])
+
 
 # --- batch decode: the file loader against the per-line loop it replaced ---
 

@@ -17,6 +17,7 @@ from availkit.maintenance import (
 )
 from availkit.model import ServiceNode
 from availkit.rootcause import Diagnosis
+from fakeclock import FakeClock
 
 DB = ServiceNode("10.0.0.3", "mysql")
 
@@ -221,82 +222,56 @@ class TestMaintenanceLoop:
         assert loop.ticks == 3 and emitted == []
 
     def test_cycle_update_takes_effect_next_tick(self):
+        clock = FakeClock()
         ticks = []
-        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=1)
-        thread = threading.Thread(target=loop.run, daemon=True)
-
-        orig_tick = loop.tick
-
-        def recording_tick():
-            ticks.append(time.monotonic())
-            return orig_tick()
-
-        loop.tick = recording_tick  # type: ignore[assignment]
-        thread.start()
-        try:
-            time.sleep(2.5)  # a couple of 1 s ticks
-            loop.set_cycle_s(3)
-            assert loop.cycle_s == 3
-            # the tick already due keeps the old spacing; wait for the one after it
-            wanted = len(ticks) + 2
-            deadline = time.monotonic() + 10
-            while len(ticks) < wanted and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            loop.stop()
-            thread.join(timeout=5)
-        assert len(ticks) >= 2
-        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-        assert any(gap > 2.0 for gap in gaps)  # spacing stretched after update
+        loop = MaintenanceLoop(lambda: ticks.append(clock.now()), lambda _x: None, cycle_s=1, clock=clock)
+        clock.at(loop, 2.5, lambda: loop.set_cycle_s(3))
+        clock.at(loop, 9.5, loop.stop)
+        loop.run()
+        assert loop.cycle_s == 3
+        # the tick already due at 3 keeps the old spacing; the ones after it are 3 s apart
+        assert ticks == [1.0, 2.0, 3.0, 6.0, 9.0]
 
     def test_overlapping_ticks_skipped_and_counted(self):
-        loop = MaintenanceLoop(lambda: time.sleep(2.2), lambda _x: None, cycle_s=1)
-        thread = threading.Thread(target=loop.run, daemon=True)
-        thread.start()
-        try:
-            time.sleep(3.6)  # one slow evaluation spanning >2 cycles
-        finally:
-            loop.stop()
-            thread.join(timeout=5)
-        assert loop.skipped_ticks >= 1
-        assert loop.ticks >= 1
+        clock = FakeClock()
+        loop = MaintenanceLoop(lambda: clock.advance(2.2), lambda _x: None, cycle_s=1, clock=clock)
+        clock.at(loop, 3.5, loop.stop)
+        loop.run()
+        # the tick at 1 runs until 3.2, so the ticks due at 2 and 3 are skipped; the next is due at 4
+        assert loop.skipped_ticks == 2
+        assert loop.ticks == 1
 
     def test_failing_job_does_not_stop_ticks(self):
+        clock = FakeClock()
         runs = []
 
         def failing_job():
-            runs.append(time.monotonic())
+            runs.append(clock.now())
             raise RuntimeError("job exploded")
 
-        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=1)
-        loop.schedule("bad", 0.05, failing_job)
-        thread = threading.Thread(target=loop.run, daemon=True)
-        thread.start()
-        try:
-            deadline = time.monotonic() + 10
-            while loop.ticks < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            loop.stop()
-            thread.join(timeout=5)
-        assert loop.ticks >= 2
-        assert len(runs) > 2  # the job kept its own, shorter period
-        assert not thread.is_alive()
+        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=1, clock=clock)
+        loop.schedule("bad", 0.25, failing_job)
+        clock.at(loop, 2.5, loop.stop)
+        loop.run()
+        assert loop.ticks == 2
+        assert runs == [0.25 * i for i in range(1, 11)]  # the job kept its own, shorter period
 
     def test_cancelled_job_does_not_run(self):
+        clock = FakeClock()
         runs = []
-        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=300)
-        loop.schedule("job", 0.05, lambda: runs.append(1))
+        loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=1, clock=clock)
+        loop.schedule("job", 0.25, lambda: runs.append(1))
         assert loop.cancel("job") is True
         assert loop.cancel("job") is False
-        thread = threading.Thread(target=loop.run, daemon=True)
-        thread.start()
-        time.sleep(0.3)
-        loop.stop()
-        thread.join(timeout=5)
-        assert runs == [] and not thread.is_alive()
+        loop.schedule("late", 0.25, lambda: runs.append(2))
+        clock.at(loop, 0.5, lambda: loop.cancel("late"))
+        clock.at(loop, 2.5, loop.stop)
+        loop.run()
+        assert runs == [2, 2]  # "late" ran at 0.25, and at 0.5 just before its cancel
+        assert loop.ticks == 2
 
     def test_huge_cycle_does_not_kill_loop(self):
+        # the one test on the real clock: a real Condition wait and a stop() from another thread
         loop = MaintenanceLoop(lambda: None, lambda _x: None, cycle_s=10**12)
         thread = threading.Thread(target=loop.run, daemon=True)
         thread.start()

@@ -7,7 +7,7 @@ from availkit.entropy import EntropyConfig
 from availkit.errors import EntryNotInTopology
 from availkit.faultsim import FaultKind, simulate_frames
 from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, align
-from availkit.pipeline import DiagnosisSettings, analyze_service, diagnose, infer_interval
+from availkit.pipeline import DiagnosisSettings, analyze_cut, cut_service, diagnose, infer_interval
 from availkit.rootcause import AnomalyConfig
 from availkit.scenarios import DB, WEB, three_tier_spec, three_tier_with_fault
 
@@ -35,7 +35,7 @@ class TestAnalyzeService:
     def test_scores_and_graph(self, faulted_series):
         spec, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_service(DB, db_series, ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
         assert analysis.status.metric_scores["cpu_util"] > 5.0
         assert analysis.status.metric_scores["mem_used"] < 5.0
         assert analysis.graph is not None
@@ -44,14 +44,14 @@ class TestAnalyzeService:
     def test_health_report_present(self, faulted_series):
         _, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_service(DB, db_series, ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
         assert analysis.status.health is not None
         assert analysis.status.health.score >= 0.0
 
     def test_short_series_warns_not_crashes(self):
         key = MetricKey(DB.ip, DB.service, "tiny")
         series = {key: MetricSeries(key, np.arange(10), np.arange(10.0))}
-        analysis = analyze_service(DB, series, ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
         assert analysis.status.metric_scores == {}
         assert analysis.warnings
 
@@ -61,7 +61,7 @@ class TestAnalyzeService:
         rng = np.random.default_rng(3)
         series = {k: MetricSeries(k, np.arange(1000) * 1000, rng.normal(size=1000)) for k in keys}
         settings = DiagnosisSettings(baseline_n=800, window_n=600)
-        analysis = analyze_service(DB, series, ECONF, PCONF, settings)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, settings)
         assert analysis.status.metric_scores == {}
         assert analysis.status.health is None
         for metric in ("a", "b"):
@@ -70,7 +70,7 @@ class TestAnalyzeService:
     def test_all_empty_series_skip_structure_learning(self):
         keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
         series = {k: MetricSeries(k, np.array([], np.int64), np.array([])) for k in keys}
-        analysis = analyze_service(DB, series, ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
         assert analysis.graph is None
         assert any(w.startswith("structure learning skipped") for w in analysis.warnings)
 
@@ -179,7 +179,7 @@ class TestBaselineCut:
         monkeypatch.setattr(
             pipeline, "learn_metric_graph", lambda m, c: seen.append(m) or learn_metric_graph(m, c)
         )
-        got = analyze_service(DB, series, ECONF, PCONF, settings).graph
+        got = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, settings).graph
         assert (seen[0].start_ms, seen[0].interval_ms) == (full.start_ms, interval)
         assert seen[0].columns == full.columns
         np.testing.assert_array_equal(seen[0].values, rows)

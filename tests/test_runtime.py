@@ -1,6 +1,5 @@
 import json
 import threading
-import time
 
 import pytest
 
@@ -11,13 +10,14 @@ from availkit.entropy import EntropyConfig, health_score
 from availkit.errors import ParamOutOfBounds
 from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
-from availkit.maintenance import ActionKind, parse_action_xml
-from availkit.model import ServiceNode
+from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml
+from availkit.model import MetricKey, ServiceNode
 from availkit.pipeline import DiagnosisSettings
 from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
 from availkit.runtime import KEPT_ACTIONS
 from availkit.scenarios import DB, degradation_spec
+from fakeclock import FakeClock
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +46,12 @@ def fresh_runtime(degraded_sim):
     runtime.stop()
 
 
-def wait_for(condition, timeout_s: float) -> bool:
-    deadline = time.monotonic() + timeout_s
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return condition()
+def fake_loop(runtime: EngineRuntime) -> FakeClock:
+    """Move runtime's periodic work onto a loop on a fake clock; the test
+    then calls runtime.loop.run() and stops it from a scheduled job."""
+    clock = FakeClock()
+    runtime.loop = MaintenanceLoop(runtime.maintenance_evaluate, runtime.emit_action, runtime.loop.cycle_s, clock=clock)
+    return clock
 
 
 DB_IO_WAIT = {"ip": DB.ip, "service": DB.service, "metric": "io_wait"}
@@ -185,6 +186,13 @@ class TestServiceCut:
         assert len(mse_calls) == 13
         assert set(mse_calls) == {fresh_runtime.config.entropy.window_len}
 
+    def test_mse_subscription_scores_only_its_series(self, fresh_runtime, mse_calls):
+        sub = fresh_runtime.subscribe("mse", DB_IO_WAIT, {}, period_s=3600)
+        fresh_runtime.run_subscription_once(sub)
+        assert sub.latest_error is None
+        assert mse_calls == [len(fresh_runtime.store.series(MetricKey(DB.ip, DB.service, "io_wait")))]
+        assert fresh_runtime.health(DB) is not None  # scored on a miss
+
     def test_distinct_detection_window_is_scored_too(self, degraded_sim, mse_calls):
         config = EngineConfig(
             entropy=EntropyConfig(window_len=3000),
@@ -222,9 +230,11 @@ class TestServiceCut:
 
 class TestLoop:
     def test_cycle_set_before_start_governs_first_tick(self, fresh_runtime):
+        clock = fake_loop(fresh_runtime)
         fresh_runtime.set_params({"maintenance_cycle_s": 1})
-        fresh_runtime.start_maintenance_loop()
-        assert wait_for(lambda: fresh_runtime.actions, timeout_s=30)
+        clock.at(fresh_runtime.loop, 1.5, fresh_runtime.loop.stop)
+        fresh_runtime.loop.run()
+        assert fresh_runtime.loop.ticks == 1  # at 1 s, not at the default 300 s
         action = parse_action_xml(fresh_runtime.actions[0])
         assert action.target == DB and action.cycle_s == 1
 
@@ -246,12 +256,11 @@ class TestLoop:
         assert set(threading.enumerate()) - before == set()
 
     def test_unsubscribe_stops_runs(self, fresh_runtime):
-        fresh_runtime.start_maintenance_loop()
+        clock = fake_loop(fresh_runtime)
         sub = fresh_runtime.subscribe("zscore", DB_IO_WAIT, {}, period_s=1)
-        assert wait_for(lambda: sub.runs >= 1, timeout_s=10)
+        clock.at(fresh_runtime.loop, 1.5, lambda: fresh_runtime.unsubscribe(sub.id))
+        clock.at(fresh_runtime.loop, 4.5, fresh_runtime.loop.stop)  # more than two periods later
+        fresh_runtime.loop.run()
+        assert sub.runs == 1  # at 1 s only
         assert sub.latest_error is None and "score" in sub.latest_payload
-        assert fresh_runtime.unsubscribe(sub.id)
-        time.sleep(0.2)  # let a run already under way finish
-        runs = sub.runs
-        time.sleep(2.5)  # more than two periods
-        assert sub.runs == runs
+        assert fresh_runtime.subscriptions() == []

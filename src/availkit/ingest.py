@@ -3,8 +3,12 @@
 One record per line: a JSON object with the fixed key order
 ts_ms, ip, service, metric, value. Files and the socket stream share the
 format; '#'-prefixed lines are comments. Both decode lines in batches
-with `decode_records` and append them per key; the store keeps a bounded,
-timestamp-ordered ring per key and tolerates bounded reordering.
+with `decode_records` and append them per key. A line spelled exactly as
+`serialize_metric_line` and the simulator write it, or in compact
+separators, is decoded by one regular expression per batch; every other
+line goes through `parse_metric_line`, which defines the format. The
+store keeps a bounded, timestamp-ordered ring per key and tolerates
+bounded reordering.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import bisect
 import json
 import logging
 import math
+import re
 import socket
 import socketserver
 import threading
@@ -23,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import BindFailure, FileUnreadable, MalformedRecord, MissingField, NonFiniteValue
-from .model import MAX_TS_MS, MetricKey, MetricSample, MetricSeries, ServiceNode, is_dotted_quad
+from .model import MetricKey, MetricSample, MetricSeries, ServiceNode, is_dotted_quad
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +38,33 @@ BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no fast
 MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
 SHUTDOWN_POLL_S = 0.05  # how often a served thread checks for stop(); stop() waits up to this long
+MIN_RUN = 3  # a shorter run of matched lines decodes faster line by line
 KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
+
+
+def _record_pattern(colon: str, comma: str) -> re.Pattern:
+    """One line of a newline-joined batch: a record in the canonical key order
+    with these separators, grouping ts, the key text from ip to metric,
+    and value; or any other line, with all three groups empty.
+
+    Each name holds no '"', '\\' or control character, so its JSON value is
+    its raw text. ts has at most 18 digits, so it fits int64 and int()
+    never meets its digit limit. A value of -0 is left to json, which
+    reads it as the integer 0.
+    """
+    name = r'[^"\\\x00-\x1f]*'
+    record = comma.join([
+        r'\{"ts_ms"' + colon + r'(0|[1-9][0-9]{0,17})',
+        '"ip"' + colon + '"(' + name + '"',
+        '"service"' + colon + '"' + name + '"',
+        '"metric"' + colon + '"' + name + ')"',
+        '"value"' + colon + r'(?!-0\})(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}',
+    ])
+    return re.compile(r"^(?:" + record + r"|.+)$", re.M)
+
+
+_CANONICAL = _record_pattern(": ", ", ")  # serialize_metric_line's and the simulator's spelling
+_COMPACT = _record_pattern(":", ",")  # json.dumps(separators=(",", ":")), JSON.stringify
 
 # key -> (ts, values) in arrival order; a key present here has been validated
 Columns = dict[MetricKey, tuple[array, array]]
@@ -128,15 +159,6 @@ def record_lines(lines) -> list[str]:
     return [s for line in lines if (s := line.strip()) and s[0] != "#"]
 
 
-def _new_columns(columns: Columns, ip, service, metric) -> tuple[array, array] | None:
-    """Add columns for a key not seen yet; None unless the fields are
-    exactly what parse_metric_line accepts unchanged."""
-    if (type(ip) is str and type(service) is str and type(metric) is str
-            and service and metric and is_dotted_quad(ip)):
-        return columns.setdefault(MetricKey(ip, service, metric), (array("q"), array("d")))
-    return None
-
-
 def _decode_line(line: str, stats: IngestStats, columns: Columns) -> None:
     try:
         sample = parse_metric_line(line)
@@ -166,18 +188,19 @@ def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> No
     `lines` are stripped and hold no blanks or comments (see record_lines).
     They are decoded with errors="surrogateescape", so a line that held
     bytes that are not UTF-8 counts one "undecodable bytes" rejection in
-    its place. The batch is parsed with one json.loads. That is only done
-    when every line starts with '{', ends with '}' and holds no other
-    brace: a JSON string cannot hold a raw newline, so each line is then
-    exactly one array element. A record whose fields have the exact types,
-    a ts_ms in range, a finite value and a key already in `columns` (or
-    valid) is appended directly; any other line, or every line of a batch
-    that does not parse, goes through parse_metric_line.
+    its place. One findall matches the whole batch against the canonical
+    spelling (_CANONICAL), or against the compact one when no line is
+    canonical. The numbers of the matched lines are converted in bulk,
+    each distinct key is checked once, and when every line matched and
+    holds a valid record, each key's columns are extended once. Every
+    other line goes through parse_metric_line in its place, and the runs
+    of valid matched lines between such lines are appended in bulk. Runs
+    shorter than MIN_RUN lines, and batches with so many unmatched lines
+    that such runs are the rule, go line by line.
     """
-    n = len(lines)
-    if not n:
+    if not lines:
         return
-    text = "[" + ",\n".join(lines) + "]"
+    text = "\n".join(lines)
     if not text.isascii() and _undecodable(text):
         run: list[str] = []
         for line in lines:
@@ -189,32 +212,68 @@ def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> No
                 run.append(line)
         decode_records(run, stats, columns)
         return
-    docs = None
-    if (text[1] == "{" and text[-2] == "}" and text.count("},\n{") == n - 1
-            and text.count("{") == n and text.count("}") == n):
-        try:
-            docs = json.loads(text)
-        except (ValueError, RecursionError):
-            pass
-    if docs is None or len(docs) != n:
+    rows = _CANONICAL.findall(text)
+    if not any(row[0] for row in rows):  # no line is canonical
+        rows = _COMPACT.findall(text)
+    n = len(lines)
+    if len(rows) != n:  # a line was empty or held a "\n"
         for line in lines:
             _decode_line(line, stats, columns)
         return
-    isfinite, max_ts = math.isfinite, MAX_TS_MS
-    for line, doc in zip(lines, docs):
-        try:
-            ts, value = doc["ts_ms"], doc["value"]
-            cols = columns[doc["ip"], doc["service"], doc["metric"]]  # a MetricKey equals its tuple
-        except (KeyError, TypeError):
-            ts, value, cols = doc.get("ts_ms"), doc.get("value"), None
-        if type(ts) is int and 0 <= ts <= max_ts and type(value) is float and isfinite(value):
-            if cols is None:
-                cols = _new_columns(columns, doc.get("ip"), doc.get("service"), doc.get("metric"))
-            if cols is not None:
-                cols[0].append(ts)
-                cols[1].append(value)
-                continue
-        _decode_line(line, stats, columns)
+    ts_text, key_text, value_text = zip(*rows)
+    if "" in ts_text:  # a line that did not match: a NaN value rejects it below
+        if (MIN_RUN + 1) * ts_text.count("") > n:  # runs of matched lines are short
+            for line in lines:
+                _decode_line(line, stats, columns)
+            return
+        ts_text = [t or "0" for t in ts_text]
+        value_text = [v or "nan" for v in value_text]
+    ts = np.frombuffer(array("q", map(int, ts_text)), dtype=np.int64)
+    values = np.frombuffer(array("d", map(float, value_text)), dtype=np.float64)
+    codes = dict.fromkeys(key_text)  # key text -> code, in first-seen order
+    keys = []  # code -> MetricKey, or None where parse_metric_line rejects the key
+    for code, raw in enumerate(codes):
+        codes[raw] = code
+        ip, service, metric = raw.split('"')[::4] if raw else ("", "", "")
+        key = MetricKey(ip, service, metric)
+        keys.append(key if key in columns or (service and metric and is_dotted_quad(ip)) else None)
+    row_codes = np.fromiter(map(codes.__getitem__, key_text), dtype=np.intp, count=n)
+    valid = np.isfinite(values)
+    if None in keys:
+        valid &= np.array([key is not None for key in keys])[row_codes]
+    if valid.all():
+        _extend(columns, keys, row_codes, ts, values)
+        return
+    # each other line through parse_metric_line, the runs of valid rows between in bulk
+    start = 0
+    for i in np.flatnonzero(~valid).tolist() + [n]:
+        if i - start >= MIN_RUN:
+            run = row_codes[start:i]
+            seen = list(dict.fromkeys(run.tolist()))  # the run's codes in first-seen order
+            renumber = np.empty(len(keys), dtype=np.intp)
+            renumber[seen] = np.arange(len(seen))
+            _extend(columns, [keys[c] for c in seen], renumber[run], ts[start:i], values[start:i])
+            start = i
+        for line in lines[start:i + 1]:  # a short run, and line i
+            _decode_line(line, stats, columns)
+        start = i + 1
+
+
+def _extend(columns: Columns, keys: list[MetricKey], codes, ts, values) -> None:
+    """Append row r, (ts[r], values[r]), to the columns of keys[codes[r]]
+    in row order; `keys` are in the order of their first rows, and a key
+    not in `columns` yet gets its columns in that order."""
+    for key in keys:
+        columns.setdefault(key, (array("q"), array("d")))
+    # group the rows per key, keeping their order, and extend each key once
+    order = np.argsort(codes, kind="stable")
+    ts, values = ts[order], values[order]
+    lo = 0
+    for key, hi in zip(keys, np.cumsum(np.bincount(codes)).tolist()):
+        ts_col, value_col = columns[key]
+        ts_col.frombytes(ts[lo:hi].tobytes())
+        value_col.frombytes(values[lo:hi].tobytes())
+        lo = hi
 
 
 def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStats]:

@@ -769,3 +769,174 @@ class TestTcpFraming:
             assert store.series(MetricKey("10.0.0.3", "mysql", f"m{c}")).ts.tolist() == list(range(records))
         assert len(store.series(shared)) == clients * records - store.stats.late_dropped
         assert store.stats.deduped == 0 and len(store.stats.errors) == 20
+
+
+# --- the canonical fast path against the per-line loop ---
+
+
+def canonical(ts="1", ip="10.0.0.3", service="mysql", metric="cpu_util", value="0.5"):
+    """serialize_metric_line's spelling around raw field text."""
+    return (f'{{"ts_ms": {ts}, "ip": "{ip}", "service": "{service}", "metric": "{metric}", '
+            f'"value": {value}}}')
+
+
+def compact(line):
+    return line.replace(", ", ",").replace(": ", ":")
+
+
+EDGE_CASES = {
+    "ts_leading_zero": canonical(ts="007"),
+    "ts_max_int64": canonical(ts=str(2**63 - 1)),  # 19 digits: decoded by json
+    "ts_over_int64": canonical(ts=str(2**63)),
+    "ts_over_uint64": canonical(ts="18446744073709551616"),
+    "ts_4301_digits": canonical(ts="1" * 4301),
+    "value_inf": canonical(value="1e999"),
+    "value_minus_inf": canonical(value="-1e999"),
+    "value_capital_exponent": canonical(value="1E5"),
+    "value_minus_zero": canonical(value="-0.0"),
+    "value_int_minus_zero": canonical(value="-0"),  # json reads the integer 0, so +0.0
+    "value_int": canonical(value="5"),
+    "value_leading_zero": canonical(value="05.5"),
+    "value_bare_fraction": canonical(value="1."),
+    "name_raw_tab": canonical(metric="cpu\tutil"),
+    "name_escaped_quote": canonical(metric='cpu\\"util'),
+    "name_escaped_e_acute": canonical(service="caf\\u00e9"),
+    "name_raw_e_acute": canonical(service="café"),
+    "name_empty_metric": canonical(metric=""),
+    "ip_octet_over_255": canonical(ip="10.0.0.256"),
+    "compact_separators": compact(canonical()),
+    "compact_int_minus_zero": compact(canonical(value="-0")),
+    "other_key_order": '{"ip": "10.0.0.3", "ts_ms": 1, "service": "mysql", "metric": "cpu_util", "value": 0.5}',
+    "crlf": canonical() + "\r",
+    "garbage": "not a record",
+}
+
+
+def write_lines(path, lines):
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return path
+
+
+def mixed_corpus(path, line, batch, spell=lambda line: line):
+    """Records in `spell`ing with `line` in the middle of the first batch
+    and at the start of the second."""
+    base = [spell(b) for b in base_lines(random.Random(7), 2 * batch)]
+    half = batch // 2
+    return write_lines(path, base[:half] + [line] + base[half:batch - 1] + [line] + base[batch - 1:])
+
+
+def assert_same_stream(path):
+    """Stream the file to a new IngestListener and compare its store with
+    reference_load; nothing is late or evicted, so the store's accepted
+    and deduped split the reference's accepted."""
+    want, want_stats = reference_load(path)
+    config = IngestConfig(listen_endpoint="127.0.0.1:0", out_of_order_buffer_ms=2**63,
+                          store_capacity_per_key=10**6)
+    store = MetricStore(config)
+    listener = IngestListener(config, store)
+    listener.start()
+    try:
+        with socket.create_connection(listener.endpoint) as conn:
+            conn.sendall(path.read_bytes())
+        st = store.stats
+        assert wait_for(lambda: st.accepted + st.deduped + st.rejected
+                        == want_stats.accepted + want_stats.rejected)
+    finally:
+        listener.stop()
+    got = store.all_series()
+    assert sorted(got) == sorted(want)
+    for key, points in want.items():
+        assert got[key].ts.tolist() == [t for t, _ in points]
+        assert got[key].values.tobytes() == np.array([v for _, v in points], dtype=np.float64).tobytes()
+    assert (st.accepted + st.deduped, st.rejected, st.deduped, st.late_dropped) == (
+        want_stats.accepted, want_stats.rejected, want_stats.deduped, 0)
+    assert st.errors == want_stats.errors
+
+
+def count_json_lines(monkeypatch):
+    """Wrap ingest.parse_metric_line; the list collects the lines it saw."""
+    seen = []
+
+    def counting(line):
+        seen.append(line)
+        return parse_metric_line(line)
+
+    monkeypatch.setattr(ingest, "parse_metric_line", counting)
+    return seen
+
+
+class TestCanonicalPath:
+    @pytest.mark.parametrize("line", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_edge_case_alone_and_mixed(self, tmp_path, monkeypatch, line):
+        assert_same_load([write_lines(tmp_path / "alone.ndjson", [line])])
+        assert_same_load([mixed_corpus(tmp_path / "mixed.ndjson", line, ingest.BATCH_LINES)])
+        assert_same_load([mixed_corpus(tmp_path / "compact.ndjson", line, ingest.BATCH_LINES, compact)])
+        monkeypatch.setattr(ingest, "BATCH_LINES", 7)
+        assert_same_load([mixed_corpus(tmp_path / "mixed7.ndjson", line, 7)])
+        assert_same_load([mixed_corpus(tmp_path / "compact7.ndjson", line, 7, compact)])
+
+    def test_edge_cases_streamed(self, tmp_path):
+        # one listener for all cases: the TCP handler ignores BATCH_LINES
+        # and decodes whatever one read holds
+        base = base_lines(random.Random(5), 40 * len(EDGE_CASES))
+        lines = []
+        for i, line in enumerate(EDGE_CASES.values()):
+            lines += base[40 * i:40 * i + 20] + [line] + base[40 * i + 20:40 * i + 40]
+        assert_same_stream(write_lines(tmp_path / "m.ndjson", lines))
+
+    @pytest.mark.parametrize("spell", [lambda line: line, compact], ids=["canonical", "compact"])
+    def test_matched_lines_skip_json(self, tmp_path, monkeypatch, spell):
+        rng = random.Random(3)
+        values = [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-30, 30) for _ in range(300)]
+        values += [0.0, -0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]
+        lines = [spell(serialize_metric_line(sample(ts=i * 7, metric=("a", "b", "c")[i % 3], value=v)))
+                 for i, v in enumerate(values)]
+        path = tmp_path / "m.ndjson"
+        path.write_text("".join(lines), encoding="utf-8")
+        want, want_stats = reference_load(path)
+        seen = count_json_lines(monkeypatch)
+        for batch in (ingest.BATCH_LINES, 1, 7):
+            monkeypatch.setattr(ingest, "BATCH_LINES", batch)
+            series, stats = load_metrics_file(path)
+            assert list(series) == list(want) and stats == want_stats
+            for key, points in want.items():
+                assert series[key].values.tobytes() == np.array([v for _, v in points]).tobytes()
+        assert seen == []
+
+    @pytest.mark.parametrize("odd", [EDGE_CASES["garbage"], EDGE_CASES["ip_octet_over_255"],
+                                     EDGE_CASES["value_inf"], EDGE_CASES["compact_separators"]],
+                             ids=["garbage", "bad_ip", "inf", "compact"])
+    def test_one_odd_line_leaves_the_batch_in_bulk(self, tmp_path, monkeypatch, odd):
+        base = base_lines(random.Random(7), 3 * ingest.BATCH_LINES)
+        path = write_lines(tmp_path / "m.ndjson", base[:100] + [odd] + base[100:700] + [odd] + base[700:])
+        seen = count_json_lines(monkeypatch)
+        load_metrics_file(path)
+        assert seen == [odd, odd]
+        assert_same_load([path])
+
+    def test_rejected_lines_create_no_key(self, tmp_path, monkeypatch):
+        lines = [
+            canonical(ts="1", metric="a"),
+            canonical(ts="2", metric="a"),
+            canonical(ts="3", metric="a"),
+            canonical(ts="4", metric="fresh", value="1e999"),  # a new key's first line is rejected
+            canonical(ts="5", metric="b"),
+            canonical(ts="6", metric="fresh"),
+            canonical(ts="7", metric="b"),
+            canonical(ts="8", metric="never", value="-1e999"),  # the key's only line is rejected
+            canonical(ts="9", metric="c", ip="10.0.0.256"),  # a new, invalid key
+            canonical(ts="10", metric="a"),
+            canonical(ts="11", metric="fresh"),
+            canonical(ts="12", metric="b"),
+        ]
+        keys = [MetricKey("10.0.0.3", "mysql", m) for m in ("a", "b", "fresh")]
+        seen = count_json_lines(monkeypatch)
+        stats, columns = IngestStats(), {}
+        ingest.decode_records(lines, stats, columns)
+        assert seen == [lines[3], lines[7], lines[8]]  # the runs between them were decoded in bulk
+        assert list(columns) == keys
+        assert [ts.tolist() for ts, _ in columns.values()] == [[1, 2, 3, 10], [5, 7, 12], [6, 11]]
+        assert stats.rejected == 3
+        series = load_metrics_file(write_lines(tmp_path / "m.ndjson", lines))[0]
+        assert list(series) == keys and all(len(s) for s in series.values())
+        assert_same_load([tmp_path / "m.ndjson"])

@@ -196,7 +196,8 @@ def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> No
     other line goes through parse_metric_line in its place, and the runs
     of valid matched lines between such lines are appended in bulk. Runs
     shorter than MIN_RUN lines, and batches with so many unmatched lines
-    that such runs are the rule, go line by line.
+    that such runs are the rule, go line by line; a batch with too few
+    '{"ts_ms"' to be otherwise goes line by line before the findall.
     """
     if not lines:
         return
@@ -212,11 +213,14 @@ def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> No
                 run.append(line)
         decode_records(run, stats, columns)
         return
-    rows = _CANONICAL.findall(text)
-    if not any(row[0] for row in rows):  # no line is canonical
-        rows = _COMPACT.findall(text)
     n = len(lines)
-    if len(rows) != n:  # a line was empty or held a "\n"
+    rows = []
+    # every matched line holds '{"ts_ms"'; with too few, runs of matched lines are short
+    if (MIN_RUN + 1) * (n - text.count('{"ts_ms"')) <= n:
+        rows = _CANONICAL.findall(text)
+        if not any(row[0] for row in rows):  # no line is canonical
+            rows = _COMPACT.findall(text)
+    if len(rows) != n:  # not matched, or a line was empty or held a "\n"
         for line in lines:
             _decode_line(line, stats, columns)
         return

@@ -67,6 +67,13 @@ class TestCoarseGrain:
         for tau in range(1, 12):
             assert coarse_grain(x, tau).shape[0] == 37 // tau
 
+    def test_bit_identical_to_block_mean(self):
+        x = np.random.default_rng(4).normal(1e3, 7.0, size=3001)
+        for tau in range(1, 21):
+            n = x.size // tau
+            want = x[: n * tau].reshape(n, tau).mean(axis=1)
+            assert coarse_grain(x, tau).tobytes() == want.tobytes()
+
 
 class TestSampleEntropy:
     def test_constant_series_is_zero(self):
@@ -234,6 +241,71 @@ class TestBandedCounter:
             tracemalloc.stop()
         assert all(e.defined for e in curve)
         assert peak < 64 * 2**20
+
+
+def candidate_counts(x, m, r):
+    """n_cand of _match_counts: sorted partners each template's band holds."""
+    first = np.sort(x[:-m])
+    return np.searchsorted(first, first + r, side="right") - np.arange(1, first.size + 1)
+
+
+class TestOffsetMajorCounter:
+    """Row ranges, tiles and blocks of the offset-major traversal."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_clusters_of_very_different_spread(self, m):
+        rng = np.random.default_rng(20 + m)
+        x = rng.permutation(np.concatenate([rng.normal(0.0, 0.01, 60), rng.normal(5.0, 1.0, 60)]))
+        r = 0.1
+        bands = candidate_counts(x, m, r)
+        assert bands[:25].min() > 25 and bands[-40:].max() < 10  # wide bands, then short ones
+        assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("band_jump", [0, 20, 10**9])
+    @pytest.mark.parametrize("chunk", [64, 2**14])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sawtooth_bands(self, monkeypatch, m, chunk, band_jump):
+        # exact ties far apart: the band jumps up at each level, then falls by
+        # one per row; with the smaller chunk, tiles start at the large jumps
+        monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(entropy, "_BAND_JUMP", band_jump)
+        rng = np.random.default_rng(30 + m)
+        x = rng.permutation(np.repeat([0.0, 10.0, 20.0, 30.0], [30, 5, 40, 20]))
+        bands = candidate_counts(x, m, 1.0)
+        steps = np.diff(bands)
+        assert set(steps[steps < 0].tolist()) == {-1} and (steps > 0).sum() == 3
+        assert entropy._match_counts(x, m, 1.0) == brute_force_counts(list(x), m, 1.0)
+
+    @pytest.mark.parametrize("tile", [1, 3, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_counts_do_not_depend_on_tile_size(self, monkeypatch, m, tile):
+        monkeypatch.setattr(entropy, "_ROW_TILE", tile)
+        for kind in ("uniform", "rounded", "three_level", "periodic"):
+            x = oracle_input(kind, 60, seed=tile + m)
+            r = 0.3 * float(np.std(x))
+            assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_chunk_smaller_than_one_offsets_rows(self, monkeypatch, m):
+        monkeypatch.setattr(entropy, "_PAIR_CHUNK", 4)
+        x = oracle_input("uniform", 80, seed=m)
+        r = 0.5 * float(np.std(x))
+        assert (candidate_counts(x, m, r) > 0).sum() > 4 * 4  # offset 0 alone spans many rows
+        assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("tile", [3, 4096])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_last_offsets_run_into_the_padding(self, monkeypatch, m, tile):
+        # the top templates tie: their bands end at the last template and are
+        # the widest, so the last offsets of their rows read the NaN padding
+        monkeypatch.setattr(entropy, "_ROW_TILE", tile)
+        rng = np.random.default_rng(40 + m)
+        x = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, 50), np.full(25, 3.0)]))
+        r = 0.2
+        bands = candidate_counts(x, m, r)
+        top = np.flatnonzero(np.sort(x[:-m]) == 3.0)
+        assert np.all(top + bands[top] == bands.size - 1) and bands.max() == bands[top[0]]
+        assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
 
 class TestMseCurve:

@@ -914,6 +914,42 @@ class TestCanonicalPath:
         assert seen == [odd, odd]
         assert_same_load([path])
 
+    def test_mostly_garbage_batch_skips_the_match(self, monkeypatch):
+        # every second line is garbage, so at most half the lines can match:
+        # the batch goes line by line without a findall
+        records = base_lines(random.Random(11), 30_000)
+        lines = [line for record in records for line in (record, EDGE_CASES["garbage"])]
+        want_stats, want = IngestStats(), {}
+        for line in lines:
+            try:
+                s = parse_metric_line(line)
+            except (MalformedRecord, MissingField, NonFiniteValue) as exc:
+                want_stats.record_error(str(exc))
+                continue
+            ts, values = want.setdefault(s.key, ([], []))
+            ts.append(s.ts_ms)
+            values.append(s.value)
+        matched = []
+
+        class Recording:
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def findall(self, text):
+                matched.append(self.pattern.pattern)
+                return self.pattern.findall(text)
+
+        monkeypatch.setattr(ingest, "_CANONICAL", Recording(ingest._CANONICAL))
+        monkeypatch.setattr(ingest, "_COMPACT", Recording(ingest._COMPACT))
+        stats, columns = IngestStats(), {}
+        ingest.decode_records(lines, stats, columns)
+        assert matched == []
+        assert stats == want_stats and stats.rejected == 30_000
+        assert list(columns) == list(want)
+        for key, (ts, values) in want.items():
+            assert columns[key][0].tolist() == ts
+            assert columns[key][1].tobytes() == np.array(values, dtype=np.float64).tobytes()
+
     def test_rejected_lines_create_no_key(self, tmp_path, monkeypatch):
         lines = [
             canonical(ts="1", metric="a"),

@@ -243,12 +243,11 @@ def cmd_diagnose(args) -> int:
     topology = load_topology(args.topology)
     series = _load_metric_dir(args.metrics)
     entry = _parse_node(args.entry)
-    theta = args.theta if args.theta is not None else 1.0
     diag = diagnose(
         series,
         topology,
         entry,
-        econf=_checked("--theta", EntropyConfig, alarm_threshold=theta),
+        econf=_checked("--theta", EntropyConfig, alarm_threshold=args.theta),
         pconf=_checked("--alpha", PCConfig, alpha=args.alpha),
         aconf=_checked("--z-threshold", AnomalyConfig, z_threshold=args.z_threshold),
         settings=_checked(
@@ -258,7 +257,6 @@ def cmd_diagnose(args) -> int:
             window_n=args.window,
             interval_ms=args.interval_ms,
             pc_row_stride=args.pc_stride,
-            theta=args.theta,
         ),
     )
     doc = diag.to_dict()
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc-stride", type=int, default=1, dest="pc_stride")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--z-threshold", type=float, default=3.0, dest="z_threshold")
-    p.add_argument("--theta", type=float, default=None, help="entropy alarm threshold")
+    p.add_argument("--theta", type=float, default=1.0, help="entropy alarm threshold")
     _add_format(p)
     p.set_defaults(func=cmd_diagnose)
 

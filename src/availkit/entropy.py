@@ -22,7 +22,6 @@ Blocks are cache-sized; memory is linear in the window length.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -251,7 +250,7 @@ class HealthReport:
     score: float
     alarm: bool
     threshold: float
-    computed_at_ms: int
+    computed_at_ms: int  # data time: the newest timestamp of the scored service's series
 
     def to_dict(self) -> dict:
         return {
@@ -276,7 +275,7 @@ def health_score(
     target: ServiceNode,
     windows: Mapping[str, Sequence[float] | np.ndarray],
     cfg: EntropyConfig,
-    computed_at_ms: int | None = None,
+    computed_at_ms: int = 0,
 ) -> HealthReport:
     """Score a service from per-metric windows.
 
@@ -286,8 +285,6 @@ def health_score(
     over participating metrics; the alarm fires strictly above the
     threshold.
     """
-    if computed_at_ms is None:
-        computed_at_ms = int(time.time() * 1000)
     min_defined = math.ceil(cfg.max_scale / 2)
 
     curves: dict[str, list[SampEnResult]] = {}

@@ -206,8 +206,9 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
 def read_json(path, build=lambda doc: doc):
     """build(the JSON document in a UTF-8 file). An unreadable file raises
     FileUnreadable. Bytes that are not UTF-8 or not JSON, and a document
-    that build rejects with a LookupError, TypeError, ValueError or
-    AttributeError, raise MalformedRecord naming the path."""
+    that build rejects with a LookupError, TypeError, ValueError,
+    AttributeError or OverflowError (int of a number such as 1e999), raise
+    MalformedRecord naming the path."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -215,7 +216,7 @@ def read_json(path, build=lambda doc: doc):
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     try:  # a UnicodeDecodeError or JSONDecodeError is a ValueError
         return build(json.loads(raw.decode("utf-8")))
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as exc:
         raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -6,7 +6,8 @@ window (newest entropy window_len) and the PC input (up to the last
 baseline bucket). A diagnosis scores z and entropy health on the
 detection windows, learns the metric CPDAG from the PC input and feeds
 both into the two-level localization; it reuses a health report already
-scored on the same windows.
+scored on the same windows. Reports and diagnoses carry the data time of
+their cuts (ServiceCut.data_ms), never the wall clock.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -66,6 +67,7 @@ class ServiceCut:
     pc_input: list[MetricSeries]      # every series cut at the last baseline bucket
     interval_ms: int
     warnings: list[str]
+    data_ms: int = 0  # newest timestamp of the service's series: the cut's data time
     detection_is_health: bool = False  # the detection windows are exactly the health windows
 
 
@@ -86,6 +88,7 @@ def cut_service(
     # at the newest baseline timestamp. The buckets start where align's do;
     # with no point at all, align raises EmptyInput.
     t_min = min((int(s.ts[0]) for s in series_map.values() if len(s)), default=0)
+    cut.data_ms = max((int(s.ts[-1]) for s in series_map.values() if len(s)), default=0)
     last_ms = min((t_min // cut.interval_ms + baseline_n) * cut.interval_ms - 1, np.iinfo(np.int64).max)
     for key, series in series_map.items():
         values = series.values
@@ -123,8 +126,7 @@ class ServiceAnalysis:
 
 def analyze_cut(
     node: ServiceNode, cut: ServiceCut, econf: EntropyConfig, pconf: PCConfig,
-    settings: DiagnosisSettings = DiagnosisSettings(), computed_at_ms: int | None = None,
-    health: HealthReport | None = None,
+    settings: DiagnosisSettings = DiagnosisSettings(), health: HealthReport | None = None,
 ) -> ServiceAnalysis:
     """Scores, health report and learned metric graph for one service cut;
     health, a report on the cut's health windows, stands in for scoring the
@@ -135,7 +137,7 @@ def analyze_cut(
         health = None
         if cut.detection:
             try:
-                health = health_score(node, cut.detection, econf, computed_at_ms=computed_at_ms)
+                health = health_score(node, cut.detection, econf, computed_at_ms=cut.data_ms)
             except NoUsableMetric as exc:
                 warnings.append(str(exc))
 
@@ -157,12 +159,17 @@ def diagnose_cuts(
 ) -> Diagnosis:
     """Two-level diagnosis from the cuts of topology nodes (a node without
     one is missing); health holds reports scored on the cuts' health
-    windows (see analyze_cut)."""
+    windows (see analyze_cut). settings.theta, when set, is the entropy
+    alarm threshold; produced_at_ms defaults to the cuts' newest data time."""
+    if settings.theta is not None:
+        econf = replace(econf, alarm_threshold=settings.theta)
+    if produced_at_ms is None:
+        produced_at_ms = max((cut.data_ms for cut in cuts.values()), default=0)
     statuses: dict[ServiceNode, ServiceStatus] = {}
     graphs: dict[ServiceNode, MetricDependencyGraph] = {}
     scores: dict[tuple[ServiceNode, str], float] = {}
     for node, cut in cuts.items():
-        analysis = analyze_cut(node, cut, econf, pconf, settings, produced_at_ms, (health or {}).get(node))
+        analysis = analyze_cut(node, cut, econf, pconf, settings, (health or {}).get(node))
         for warning in analysis.warnings:
             log.debug("%s: %s", node.label(), warning)
         statuses[node] = analysis.status
@@ -170,7 +177,7 @@ def diagnose_cuts(
             graphs[node] = analysis.graph
         scores.update(((node, metric), score) for metric, score in analysis.status.metric_scores.items())
 
-    assessment = service_anomaly(statuses, topology, aconf, theta=settings.theta)
+    assessment = service_anomaly(statuses, topology, aconf)
     return localize(topology, entry, assessment.anomalous, graphs, scores, aconf, produced_at_ms=produced_at_ms)
 
 

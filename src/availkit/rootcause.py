@@ -10,7 +10,6 @@ anomalous parent in the learned metric dependency graph.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -104,7 +103,6 @@ def service_anomaly(
     statuses: Mapping[ServiceNode, ServiceStatus],
     topology: ServiceDependencyGraph,
     cfg: AnomalyConfig,
-    theta: float | None = None,
 ) -> AnomalyAssessment:
     """A service is anomalous when its entropy alarm fired or any of its
     metrics breached the z threshold. Topology nodes missing from the
@@ -116,9 +114,7 @@ def service_anomaly(
         if status is None:
             missing.append(node)
             continue
-        entropy_alarm = False
-        if status.health is not None:
-            entropy_alarm = status.health.score > theta if theta is not None else status.health.alarm
+        entropy_alarm = status.health is not None and status.health.alarm
         z_alarm = any(score > cfg.z_threshold for score in status.metric_scores.values())
         if entropy_alarm or z_alarm:
             anomalous.add(node)
@@ -130,7 +126,7 @@ class Diagnosis:
     entry: ServiceNode
     anomalous_services: set[ServiceNode]
     ranked_causes: list[tuple[ServiceNode, str, float]]
-    produced_at_ms: int
+    produced_at_ms: int  # data time: the newest timestamp of the diagnosed series
     evidence: list[str]
 
     def to_dict(self) -> dict:
@@ -160,15 +156,13 @@ def localize(
     metric_graphs: Mapping[ServiceNode, MetricDependencyGraph],
     scores: Mapping[tuple[ServiceNode, str], float],
     cfg: AnomalyConfig,
-    produced_at_ms: int | None = None,
+    produced_at_ms: int = 0,
 ) -> Diagnosis:
     """Two-level localization: deepest anomalous services, then their
     anomalous metrics with no anomalous parent, ranked by z-score with a
     total (ip, service, metric) tie-break."""
     if topology.index_of(entry) is None:
         raise EntryNotInTopology(f"{entry.label()} is not a topology node")
-    if produced_at_ms is None:
-        produced_at_ms = int(time.time() * 1000)
 
     reachable = set(topology.reachable_from(entry))
     candidates = []

@@ -120,7 +120,7 @@ class EngineRuntime:
         if cut is None:
             cut = cut_service(self.store.series_for_service(node), econf, self.config.diagnosis)
         try:  # no health window at all raises NoUsableMetric too
-            report = health_score(node, cut.health, econf)
+            report = health_score(node, cut.health, econf, computed_at_ms=cut.data_ms)
         except NoUsableMetric:
             return None
         with self._lock:
@@ -239,7 +239,8 @@ class EngineRuntime:
 
     def maintenance_evaluate(self) -> MaintenanceAction | None:
         """One maintenance evaluation: cut each service from one snapshot and
-        refresh its health from the cut; on an alarm, diagnose those cuts."""
+        refresh its health from the cut; on an alarm, diagnose those cuts and
+        issue the action at the diagnosis's data time."""
         entry = self.entry_node()
         if entry is None:
             return None
@@ -249,7 +250,7 @@ class EngineRuntime:
             return None
         diag = self.run_diagnosis(entry, cuts, reports)
         return decide_action(diag, self.config.policy, action_id=f"act-{next(self._action_counter)}",
-                             issued_at_ms=int(time.time() * 1000), cycle_s=self.loop.cycle_s)
+                             issued_at_ms=diag.produced_at_ms, cycle_s=self.loop.cycle_s)
 
     def emit_action(self, xml: str) -> None:
         with self._lock:

@@ -18,6 +18,8 @@ from availkit.runtime import MAX_SUBSCRIPTIONS, EngineRuntime
 from availkit.scenarios import DB, WEB, three_tier_with_fault
 
 DB_CPU = {"ip": "10.0.0.3", "service": "db", "metric": "cpu_util"}
+SPEC = three_tier_with_fault(FaultKind.cpu_hog, seed=0)
+NEWEST_MS = (SPEC.duration_ticks - 1) * SPEC.tick_ms  # the data time every stamp carries
 
 
 def request(server, method, path, body=None):
@@ -37,8 +39,7 @@ def request(server, method, path, body=None):
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
-    spec = three_tier_with_fault(FaultKind.cpu_hog, seed=0)
-    sim = simulate(spec, out)
+    sim = simulate(SPEC, out)
 
     node = ServiceNode("10.0.0.9", "edge")
     events_path = out / "edge-events.ndjson"
@@ -198,6 +199,7 @@ class TestHealth:
         assert status == 200
         assert doc["target"] == {"ip": "10.0.0.3", "service": "db"}
         assert "score" in doc and "alarm" in doc
+        assert doc["computed_at_ms"] == NEWEST_MS
 
 
 class TestDiagnosis:
@@ -209,6 +211,7 @@ class TestDiagnosis:
         assert doc["ranked_causes"], "fault must be localized"
         top = doc["ranked_causes"][0]
         assert (top["ip"], top["service"]) == (DB.ip, DB.service)
+        assert doc["produced_at_ms"] == NEWEST_MS
 
         status, latest = request(server, "GET", "/diagnosis/latest")
         assert status == 200 and latest == doc

@@ -208,7 +208,7 @@ class TestSimulateAndDiagnose:
     def test_diagnose_finds_injected_fault(self, tmp_path, capsys):
         spec = three_tier_with_fault(FaultKind.cpu_hog, seed=0)
         sim = simulate(spec, tmp_path)
-        code, out, _ = run_cli(
+        runs = [run_cli(
             capsys, "diagnose",
             "--topology", str(sim.topology_path),
             "--metrics", str(tmp_path),
@@ -216,9 +216,12 @@ class TestSimulateAndDiagnose:
             "--baseline", "1200", "--window", "600",
             "--pc-stride", "5", "--z-threshold", "5", "--theta", "10",
             "--format", "json",
-        )
+        ) for _ in range(2)]
+        assert runs[0] == runs[1]  # the same bytes: stamped with data time, not the wall clock
+        code, out, _ = runs[0]
         assert code == 0
         doc = json.loads(out)
+        assert doc["produced_at_ms"] == (spec.duration_ticks - 1) * spec.tick_ms  # the file's newest ts
         top = doc["ranked_causes"][0]
         assert (top["ip"], top["service"]) == ("10.0.0.3", "db")
         pairs = [(c["service"], c["metric"]) for c in doc["ranked_causes"][:3]]
@@ -432,9 +435,13 @@ class TestJsonDocuments:
             (["simulate", "--spec"], b"{}"),
             (["serve", "--listen", "127.0.0.1:0", "--config"], b'{"ingest": \xff}'),
             (["serve", "--listen", "127.0.0.1:0", "--config"], b'{"ingest": {'),
+            (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'{"nodes": [], "edges": [[0, 1e999]]}'),
+            (["simulate", "--spec"], b'{"topology": {"nodes": []}, "tick_ms": 1e999}'),
+            (["simulate", "--spec"], b'{"topology": {"nodes": []}, "seed": 1e999}'),
         ],
         ids=["truncated_topology", "node_without_service", "one_ended_edge", "topology_list",
-             "truncated_spec", "spec_without_topology", "non_utf8_config", "truncated_config"],
+             "truncated_spec", "spec_without_topology", "non_utf8_config", "truncated_config",
+             "infinite_edge_end", "infinite_tick_ms", "infinite_seed"],
     )
     def test_bad_document_is_domain_error(self, tmp_path, capsys, monkeypatch, argv, content):
         monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("config accepted"))
@@ -444,6 +451,7 @@ class TestJsonDocuments:
         code, out, err = run_cli(capsys, *argv, str(path), *extra.get(argv[0], []))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSimulateErrors:

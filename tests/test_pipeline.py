@@ -221,6 +221,34 @@ class TestDiagnose:
         # web and app are missing: treated as healthy, db still localized
         assert diag.ranked_causes[0][0] == DB
 
+    def test_theta_decides_the_entropy_alarm(self, faulted_series):
+        spec, series = faulted_series
+        only_db = {k: s for k, s in series.items() if k.service == "db"}
+        score = analyze_cut(DB, cut_service(only_db, ECONF, SETTINGS), ECONF, PCONF, SETTINGS).status.health.score
+        entropy_only = AnomalyConfig(z_threshold=1e9)
+
+        def alarmed(threshold, theta):
+            econf = EntropyConfig(alarm_threshold=threshold)
+            settings = DiagnosisSettings(baseline_n=1200, window_n=600, pc_row_stride=5, theta=theta)
+            diag = diagnose(only_db, spec.topology, WEB, econf, PCONF, entropy_only, settings)
+            return DB in diag.anomalous_services
+
+        assert alarmed(score / 2, None) and not alarmed(score * 2, None)
+        assert alarmed(score * 2, score / 2)  # theta wins over econf's threshold either way
+        assert not alarmed(score / 2, score * 2)
+        assert not alarmed(score / 2, score)  # the rule is strict
+
+    def test_stamped_with_the_newest_data_time(self, faulted_series):
+        spec, series = faulted_series
+        newest = (spec.duration_ticks - 1) * spec.tick_ms
+        older = {k: MetricSeries(k, s.ts[:-100], s.values[:-100]) if k.service == "db" else s
+                 for k, s in series.items()}
+        cuts = pipeline.cut_services(older, spec.topology.nodes, ECONF, SETTINGS)
+        assert cuts[WEB].data_ms == newest and cuts[DB].data_ms == newest - 100 * spec.tick_ms
+        assert analyze_cut(DB, cuts[DB], ECONF, PCONF, SETTINGS).status.health.computed_at_ms == cuts[DB].data_ms
+        assert diagnose(older, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == newest
+        assert pipeline.diagnose_cuts({}, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == 0
+
     def test_value_identical_across_runs(self, faulted_series):
         spec, series = faulted_series
         d1 = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS, produced_at_ms=0)

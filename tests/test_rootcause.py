@@ -113,15 +113,6 @@ class TestServiceAnomaly:
         assert out.anomalous == set()
         assert set(out.missing) == set(CHAIN.nodes)
 
-    def test_theta_override(self):
-        statuses = {DB: ServiceStatus(health=report_with(0.4, DB, threshold=0.5))}
-        assert service_anomaly(statuses, CHAIN, CFG).anomalous == set()
-        assert service_anomaly(statuses, CHAIN, CFG, theta=0.3).anomalous == {DB}
-        # the rule is strict: a score equal to theta is not anomalous, even
-        # when the report's own (lower) threshold raised its alarm
-        boundary = {DB: ServiceStatus(health=report_with(0.5, DB, threshold=0.1))}
-        assert service_anomaly(boundary, CHAIN, CFG, theta=0.5).anomalous == set()
-
 
 def graph(metrics, directed=(), undirected=()):
     return MetricDependencyGraph(

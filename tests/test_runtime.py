@@ -10,13 +10,13 @@ from availkit.entropy import EntropyConfig, health_score
 from availkit.errors import ParamOutOfBounds
 from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
-from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml
-from availkit.model import MetricKey, ServiceNode
+from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml, serialize_action_xml
+from availkit.model import MetricKey, MetricSample, ServiceNode
 from availkit.pipeline import DiagnosisSettings
 from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
 from availkit.runtime import KEPT_ACTIONS
-from availkit.scenarios import DB, degradation_spec
+from availkit.scenarios import DB, WEB, degradation_spec
 from fakeclock import FakeClock
 
 
@@ -226,6 +226,30 @@ class TestServiceCut:
         fresh = fresh_runtime.run_diagnosis(fresh_runtime.entry_node()).to_dict()
         latest.pop("produced_at_ms"), fresh.pop("produced_at_ms")
         assert latest == fresh and latest["ranked_causes"]
+
+
+class TestDataTime:
+    NEWEST_MS = 3_599_000  # the last tick of degradation_spec's 3,600
+
+    def test_fresh_runtimes_emit_identical_actions(self, degraded_sim):
+        xml = []
+        for _ in range(2):
+            runtime = make_runtime(degraded_sim)
+            try:
+                action = runtime.maintenance_evaluate()
+                assert action.issued_at_ms == self.NEWEST_MS
+                assert runtime.health(DB).computed_at_ms == self.NEWEST_MS
+                xml.append(serialize_action_xml(action))
+            finally:
+                runtime.stop()
+        assert xml[0] == xml[1]
+
+    def test_each_service_keeps_its_own_stamp(self, fresh_runtime):
+        later = self.NEWEST_MS + 5_000
+        assert fresh_runtime.store.append(MetricSample(later, WEB.ip, WEB.service, "cpu_util", 1.0))
+        assert fresh_runtime.health(WEB).computed_at_ms == later
+        assert fresh_runtime.health(DB).computed_at_ms == self.NEWEST_MS
+        assert fresh_runtime.run_diagnosis(fresh_runtime.entry_node()).produced_at_ms == later
 
 
 class TestLoop:

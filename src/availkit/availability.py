@@ -186,7 +186,7 @@ def parse_event_line(line: str) -> UpDownEvent:
         )
     except KeyError as exc:
         raise MalformedRecord(f"event record missing {exc.args[0]}: {line.strip()!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:  # int(1e999), deep nesting
         raise MalformedRecord(f"bad event record: {line.strip()!r}") from exc
 
 

@@ -21,7 +21,7 @@ from . import causal, entropy, rootcause
 from .availability import availability as availability_stats
 from .availability import forecast_failure_time
 from .errors import DuplicateName, InputKindMismatch, ParamOutOfBounds, UnknownMethod
-from .model import MetricMatrix, MetricSeries
+from .model import MetricMatrix, MetricSeries, column_name
 
 
 class InputKind(Enum):
@@ -216,9 +216,9 @@ def _cusum_impl(series, baseline_len, k, h):
 def _correlation_impl(data):
     res = causal.correlation_matrix(data)
     return {
-        "columns": [str(getattr(c, "metric", c)) for c in res.columns],
+        "columns": [column_name(c) for c in res.columns],
         "matrix": res.matrix.tolist(),
-        "dropped": [str(getattr(c, "metric", c)) for c in res.dropped],
+        "dropped": [column_name(c) for c in res.dropped],
         "n_rows": res.n_rows,
     }
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularSubmatrix,
     TooFewSamples,
 )
-from .model import MetricDependencyGraph, MetricMatrix, topological_order
+from .model import MetricDependencyGraph, MetricMatrix, column_name, topological_order
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def orient_v_structures(skel: SkeletonResult, metrics: Sequence[str] | None = No
     """
     n = skel.adjacency.shape[0]
     if metrics is None:
-        metrics = [_label_name(c) for c in skel.columns] if skel.columns else [f"x{i}" for i in range(n)]
+        metrics = [column_name(c) for c in skel.columns] if skel.columns else [f"x{i}" for i in range(n)]
     demanded: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for k in range(n):
         nbrs = [i for i in range(n) if skel.adjacency[i, k]]
@@ -365,11 +365,6 @@ def meek_closure(pdag: MetricDependencyGraph) -> MetricDependencyGraph:
     return out
 
 
-def _label_name(label) -> str:
-    metric = getattr(label, "metric", None)
-    return metric if isinstance(metric, str) else str(label)
-
-
 def learn_metric_graph(data: MetricMatrix, cfg: PCConfig) -> MetricDependencyGraph:
     """Full structure-learning pipeline over one aligned matrix.
 
@@ -378,7 +373,7 @@ def learn_metric_graph(data: MetricMatrix, cfg: PCConfig) -> MetricDependencyGra
     indices in the returned graph refer to the retained metrics in their
     original input order.
     """
-    names = [_label_name(c) for c in data.columns]
+    names = data.column_names()
     if len(set(names)) != len(names):
         raise ValueError("column names must be unique for structure learning")
     order = sorted(range(len(names)), key=lambda k: names[k])

@@ -59,7 +59,7 @@ def _is_history(line: str) -> bool:
     """An entropy history record {"ts_ms","score"}, not a metric record."""
     try:
         return "score" in json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):  # deep nesting
         return False
 
 
@@ -106,7 +106,7 @@ def _load_series(args) -> MetricSeries:
     for lineno, line in data_lines(path):
         try:
             points.append(_point(line, len(points)))
-        except (ValueError, TypeError, OverflowError, KeyError) as exc:
+        except (ValueError, TypeError, OverflowError, KeyError, RecursionError) as exc:
             raise MalformedRecord(f"{path}:{lineno}: {line!r}: {exc}") from exc
     if not points:
         raise EngineError(f"{path} holds no data points")

@@ -45,16 +45,6 @@ def _policy_from_dict(doc: dict) -> MaintenancePolicy:
     return MaintenancePolicy(costs=costs, applicability=applicability, category_rules=rules)
 
 
-def policy_to_dict(policy: MaintenancePolicy) -> dict:
-    return {
-        "costs": {kind.value: cost for kind, cost in policy.costs.items()},
-        "applicability": {
-            cat: sorted(k.value for k in kinds) for cat, kinds in policy.applicability.items()
-        },
-        "category_rules": [list(rule) for rule in policy.category_rules],
-    }
-
-
 def load_config(path) -> EngineConfig:
     return config_from_dict(read_json(path), base_dir=Path(path).parent)
 

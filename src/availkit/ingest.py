@@ -2,13 +2,13 @@
 
 One record per line: a JSON object with the fixed key order
 ts_ms, ip, service, metric, value. Files and the socket stream share the
-format; '#'-prefixed lines are comments. Both decode lines in batches
-with `decode_records` and append them per key. A line spelled exactly as
-`serialize_metric_line` and the simulator write it, or in compact
-separators, is decoded by one regular expression per batch; every other
-line goes through `parse_metric_line`, which defines the format. The
-store keeps a bounded, timestamp-ordered ring per key and tolerates
-bounded reordering.
+format; '#'-prefixed lines are comments. Both hand the text of each read
+to `decode_records` and append its records per key. A line spelled
+exactly as `serialize_metric_line` and the simulator write it, or in
+compact separators, is decoded by one regular expression per batch;
+every other line goes through `parse_metric_line`, which defines the
+format. The store keeps a bounded, timestamp-ordered ring per key and
+tolerates bounded reordering.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are on
 
 
 def _record_pattern(colon: str, comma: str) -> re.Pattern:
-    """One line of a newline-joined batch: a record in the canonical key order
+    """One non-empty line of a batch's text: a record in the canonical key order
     with these separators, grouping ts, the key text from ip to metric,
-    and value; or any other line, with all three groups empty.
+    and value, and ended by "\n" or "\r\n" (as strip() would leave it); or
+    any other line, with all three groups empty.
 
     Each name holds no '"', '\\' or control character, so its JSON value is
     its raw text. ts has at most 18 digits, so it fits int64 and int()
@@ -60,7 +61,7 @@ def _record_pattern(colon: str, comma: str) -> re.Pattern:
         '"metric"' + colon + '"' + name + ')"',
         '"value"' + colon + r'(?!-0\})(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}',
     ])
-    return re.compile(r"^(?:" + record + r"|.+)$", re.M)
+    return re.compile(r"^(?:" + record + r"\r?|.+)$", re.M)
 
 
 _CANONICAL = _record_pattern(": ", ", ")  # serialize_metric_line's and the simulator's spelling
@@ -154,14 +155,17 @@ class IngestStats:
         other.errors.clear()
 
 
-def record_lines(lines) -> list[str]:
-    """The stripped lines that are neither blank nor '#' comments."""
-    return [s for line in lines if (s := line.strip()) and s[0] != "#"]
-
-
 def _decode_line(line: str, stats: IngestStats, columns: Columns) -> None:
+    """Append the record of one line, or count its rejection; a line that is
+    blank or a '#' comment once stripped is skipped."""
+    stripped = line.strip()
+    if not stripped or stripped[0] == "#":
+        return
+    if not stripped.isascii() and _undecodable(stripped):
+        stats.record_error("undecodable bytes")
+        return
     try:
-        sample = parse_metric_line(line)
+        sample = parse_metric_line(stripped)
     except (MalformedRecord, MissingField, NonFiniteValue) as exc:
         stats.record_error(str(exc))
         return
@@ -180,54 +184,40 @@ def _undecodable(text: str) -> bool:
     return False
 
 
-def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> None:
-    """Append the records of `lines` to their keys' columns in line order
-    and count each rejected line in `stats`, exactly as calling
-    parse_metric_line on every line would.
+def decode_records(text: str, stats: IngestStats, columns: Columns) -> None:
+    """Append the records of `text`'s lines to their keys' columns in line
+    order and count each rejected line in `stats`, exactly as calling
+    parse_metric_line on every stripped line that is neither blank nor a
+    '#' comment would.
 
-    `lines` are stripped and hold no blanks or comments (see record_lines).
-    They are decoded with errors="surrogateescape", so a line that held
-    bytes that are not UTF-8 counts one "undecodable bytes" rejection in
-    its place. One findall matches the whole batch against the canonical
-    spelling (_CANONICAL), or against the compact one when no line is
-    canonical. The numbers of the matched lines are converted in bulk,
-    each distinct key is checked once, and when every line matched and
-    holds a valid record, each key's columns are extended once. Every
-    other line goes through parse_metric_line in its place, and the runs
-    of valid matched lines between such lines are appended in bulk. Runs
-    shorter than MIN_RUN lines, and batches with so many unmatched lines
-    that such runs are the rule, go line by line; a batch with too few
-    '{"ts_ms"' to be otherwise goes line by line before the findall.
+    `text` is one read as it came, lines separated by "\n", decoded with
+    errors="surrogateescape"; a line that held bytes that are not UTF-8
+    counts one "undecodable bytes" rejection in its place. One findall
+    matches the whole text against the canonical spelling (_CANONICAL),
+    or against the compact one when no line is canonical, and yields one
+    row per non-empty line. The numbers of the matched rows are converted
+    in bulk, each distinct key is checked once, and when every row matched
+    and holds a valid record, each key's columns are extended once. Every
+    other line, comments and blanks included, goes through _decode_line in
+    its place, and the runs of valid matched rows between such lines are
+    appended in bulk. Runs shorter than MIN_RUN rows, and texts with so
+    many unmatched rows that such runs are the rule, or with undecodable
+    bytes, go line by line.
     """
-    if not lines:
-        return
-    text = "\n".join(lines)
     if not text.isascii() and _undecodable(text):
-        run: list[str] = []
-        for line in lines:
-            if _undecodable(line):
-                decode_records(run, stats, columns)
-                run = []
-                stats.record_error("undecodable bytes")
-            else:
-                run.append(line)
-        decode_records(run, stats, columns)
-        return
-    n = len(lines)
-    rows = []
-    # every matched line holds '{"ts_ms"'; with too few, runs of matched lines are short
-    if (MIN_RUN + 1) * (n - text.count('{"ts_ms"')) <= n:
-        rows = _CANONICAL.findall(text)
-        if not any(row[0] for row in rows):  # no line is canonical
-            rows = _COMPACT.findall(text)
-    if len(rows) != n:  # not matched, or a line was empty or held a "\n"
-        for line in lines:
+        for line in text.split("\n"):
             _decode_line(line, stats, columns)
         return
+    rows = _CANONICAL.findall(text)
+    if not any(row[0] for row in rows):  # no line is canonical
+        rows = _COMPACT.findall(text)
+    if not rows:
+        return
+    n = len(rows)
     ts_text, key_text, value_text = zip(*rows)
     if "" in ts_text:  # a line that did not match: a NaN value rejects it below
-        if (MIN_RUN + 1) * ts_text.count("") > n:  # runs of matched lines are short
-            for line in lines:
+        if (MIN_RUN + 1) * ts_text.count("") > n:  # runs of matched rows are short
+            for line in text.split("\n"):
                 _decode_line(line, stats, columns)
             return
         ts_text = [t or "0" for t in ts_text]
@@ -248,7 +238,8 @@ def decode_records(lines: list[str], stats: IngestStats, columns: Columns) -> No
     if valid.all():
         _extend(columns, keys, row_codes, ts, values)
         return
-    # each other line through parse_metric_line, the runs of valid rows between in bulk
+    # each other line through _decode_line, the runs of valid rows between in bulk
+    lines = [line for line in text.split("\n") if line]  # line r is row r
     start = 0
     for i in np.flatnonzero(~valid).tolist() + [n]:
         if i - start >= MIN_RUN:
@@ -295,8 +286,8 @@ def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStat
         except OSError as exc:
             raise FileUnreadable(f"cannot read {path}: {exc}") from exc
         with fh:
-            while batch := list(islice(fh, BATCH_LINES)):
-                decode_records(record_lines(batch), stats, columns)
+            while text := "".join(islice(fh, BATCH_LINES)):
+                decode_records(text, stats, columns)
     series = {}
     for key, (ts_col, val_col) in columns.items():
         stats.accepted += len(ts_col)
@@ -425,15 +416,11 @@ class MetricStore:
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         store: MetricStore = self.server.store  # type: ignore[attr-defined]
-        columns: Columns = {}
         rejected = IngestStats()  # this read's rejections; the store counts them with its records
         for chunk in self._chunks(rejected):
-            text = chunk.decode("utf-8", "surrogateescape")
-            decode_records(record_lines(text.split("\n")), rejected, columns)
+            columns: Columns = {}
+            decode_records(chunk.decode("utf-8", "surrogateescape"), rejected, columns)
             store.append_many(columns, rejected)
-            for ts, values in columns.values():
-                del ts[:]
-                del values[:]
 
     def _chunks(self, rejected: IngestStats):
         """Yield, per read, its complete lines as one newline-separated

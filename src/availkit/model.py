@@ -122,13 +122,13 @@ class MetricMatrix:
         return self.values.shape[0]
 
     def column_names(self) -> list[str]:
-        names = []
-        for col in self.columns:
-            if isinstance(col, MetricKey):
-                names.append(col.metric)
-            else:
-                names.append(str(col))
-        return names
+        return [column_name(col) for col in self.columns]
+
+
+def column_name(label) -> str:
+    """A column label's name: a MetricKey's metric, any other label as text."""
+    metric = getattr(label, "metric", None)
+    return metric if isinstance(metric, str) else str(label)
 
 
 @dataclass

@@ -237,6 +237,18 @@ class TestAvailability:
         status, doc = request(server, "GET", "/availability/9.9.9.9/ghost")
         assert status == 404 and doc["error"] == "no_events"
 
+    def test_malformed_events_file_400(self, tmp_path):
+        events_path = tmp_path / "events.ndjson"
+        events_path.write_text('{"ts_ms": 1e999, "ip": "10.0.0.9", "service": "edge", "state": "up"}\n')
+        api = ControlApiServer(EngineRuntime(EngineConfig(events_path=str(events_path))),
+                               host="127.0.0.1", port=0)
+        api.start()
+        try:
+            status, doc = request(api, "GET", "/availability/10.0.0.9/edge")
+        finally:
+            api.stop()
+        assert status == 400 and doc["error"] == "malformed_record"
+
 
 class TestParams:
     def test_get_put_roundtrip(self, server):

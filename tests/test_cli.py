@@ -16,6 +16,9 @@ from availkit.faultsim import save_spec
 from availkit.scenarios import three_tier_with_fault
 
 
+DEEP = b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n"  # past the recursion limit
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -438,10 +441,15 @@ class TestJsonDocuments:
             (["diagnose", "--entry", "10.0.0.1:web", "--topology"], b'{"nodes": [], "edges": [[0, 1e999]]}'),
             (["simulate", "--spec"], b'{"topology": {"nodes": []}, "tick_ms": 1e999}'),
             (["simulate", "--spec"], b'{"topology": {"nodes": []}, "seed": 1e999}'),
+            (["availability", "--events"], b'{"ts_ms": 1e999, "ip": "10.0.0.1", "service": "s", "state": "up"}'),
+            (["availability", "--events"], b'{"ts_ms": 0, "ip": "10.0.0.1", "service": "s", "state": "up"}\n' + DEEP),
+            (["forecast", "--input"], DEEP + b'{"ts_ms": 0, "score": 0.1}\n'),
+            (["forecast", "--input"], b'{"ts_ms": 0, "score": 0.1}\n' + DEEP),
         ],
         ids=["truncated_topology", "node_without_service", "one_ended_edge", "topology_list",
              "truncated_spec", "spec_without_topology", "non_utf8_config", "truncated_config",
-             "infinite_edge_end", "infinite_tick_ms", "infinite_seed"],
+             "infinite_edge_end", "infinite_tick_ms", "infinite_seed", "infinite_event_ts",
+             "deep_event", "deep_first_history_line", "deep_later_history_line"],
     )
     def test_bad_document_is_domain_error(self, tmp_path, capsys, monkeypatch, argv, content):
         monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("config accepted"))

@@ -809,6 +809,9 @@ EDGE_CASES = {
     "other_key_order": '{"ip": "10.0.0.3", "ts_ms": 1, "service": "mysql", "metric": "cpu_util", "value": 0.5}',
     "crlf": canonical() + "\r",
     "garbage": "not a record",
+    "indented_comment": "  # note",
+    "file_separator_only": "\x1c",  # str.strip() removes it, and splitlines() breaks at it
+    "ends_in_line_separator": canonical() + "\u2028",  # likewise for U+2028
 }
 
 
@@ -903,6 +906,15 @@ class TestCanonicalPath:
                 assert series[key].values.tobytes() == np.array([v for _, v in points]).tobytes()
         assert seen == []
 
+    def test_crlf_lines_skip_json(self, monkeypatch):
+        # a TCP read keeps each "\r" of a CRLF line end
+        lines = [canonical(ts=str(i), metric=("a", "b")[i % 2]) + "\r" for i in range(20)]
+        seen = count_json_lines(monkeypatch)
+        stats, columns = IngestStats(), {}
+        ingest.decode_records("\n".join(lines) + "\n", stats, columns)
+        assert seen == [] and stats == IngestStats()
+        assert [ts.tolist() for ts, _ in columns.values()] == [list(range(0, 20, 2)), list(range(1, 20, 2))]
+
     @pytest.mark.parametrize("odd", [EDGE_CASES["garbage"], EDGE_CASES["ip_octet_over_255"],
                                      EDGE_CASES["value_inf"], EDGE_CASES["compact_separators"]],
                              ids=["garbage", "bad_ip", "inf", "compact"])
@@ -915,8 +927,9 @@ class TestCanonicalPath:
         assert_same_load([path])
 
     def test_mostly_garbage_batch_skips_the_match(self, monkeypatch):
-        # every second line is garbage, so at most half the lines can match:
-        # the batch goes line by line without a findall
+        # every second line is garbage, so half the rows are unmatched: the
+        # batch goes line by line after the canonical findall, with no
+        # compact retry
         records = base_lines(random.Random(11), 30_000)
         lines = [line for record in records for line in (record, EDGE_CASES["garbage"])]
         want_stats, want = IngestStats(), {}
@@ -942,8 +955,8 @@ class TestCanonicalPath:
         monkeypatch.setattr(ingest, "_CANONICAL", Recording(ingest._CANONICAL))
         monkeypatch.setattr(ingest, "_COMPACT", Recording(ingest._COMPACT))
         stats, columns = IngestStats(), {}
-        ingest.decode_records(lines, stats, columns)
-        assert matched == []
+        ingest.decode_records("\n".join(lines), stats, columns)
+        assert matched == [ingest._CANONICAL.pattern.pattern]
         assert stats == want_stats and stats.rejected == 30_000
         assert list(columns) == list(want)
         for key, (ts, values) in want.items():
@@ -968,7 +981,7 @@ class TestCanonicalPath:
         keys = [MetricKey("10.0.0.3", "mysql", m) for m in ("a", "b", "fresh")]
         seen = count_json_lines(monkeypatch)
         stats, columns = IngestStats(), {}
-        ingest.decode_records(lines, stats, columns)
+        ingest.decode_records("\n".join(lines), stats, columns)
         assert seen == [lines[3], lines[7], lines[8]]  # the runs between them were decoded in bulk
         assert list(columns) == keys
         assert [ts.tolist() for ts, _ in columns.values()] == [[1, 2, 3, 10], [5, 7, 12], [6, 11]]

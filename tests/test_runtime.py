@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from availkit import entropy
-from availkit.config import EngineConfig, load_config, policy_to_dict
+from availkit.config import EngineConfig, load_config
 from availkit.config import config_from_dict
 from availkit.entropy import EntropyConfig, health_score
 from availkit.errors import ParamOutOfBounds
@@ -88,13 +88,6 @@ class TestConfigFile:
     def test_infinite_entropy_setting_rejected(self, field):
         with pytest.raises(MalformedRecord, match="entropy"):
             config_from_dict({"entropy": {field: float("inf")}})
-
-    def test_policy_round_trip(self):
-        from availkit.maintenance import default_policy
-
-        doc = policy_to_dict(default_policy())
-        assert doc["applicability"]["unknown"] == ["restart"]
-        assert set(doc["costs"]) == {"restart", "reconfigure", "migrate", "scale"}
 
 
 class TestRuntime:

@@ -20,7 +20,7 @@ from .errors import (
     NonAlternatingLog,
     TooFewPoints,
 )
-from .model import ServiceNode, data_lines
+from .model import ServiceNode, data_lines, quote_line
 
 UP = "up"
 DOWN = "down"
@@ -185,9 +185,9 @@ def parse_event_line(line: str) -> UpDownEvent:
             state=str(doc["state"]),
         )
     except KeyError as exc:
-        raise MalformedRecord(f"event record missing {exc.args[0]}: {line.strip()!r}") from exc
+        raise MalformedRecord(f"event record missing {exc.args[0]}: {quote_line(line.strip())}") from exc
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:  # int(1e999), deep nesting
-        raise MalformedRecord(f"bad event record: {line.strip()!r}") from exc
+        raise MalformedRecord(f"bad event record: {quote_line(line.strip())}") from exc
 
 
 def serialize_event_line(event: UpDownEvent) -> str:

@@ -28,7 +28,8 @@ from .entropy import EntropyConfig
 from .errors import EngineError, MalformedRecord
 from .faultsim import generate_random_spec, load_spec, simulate
 from .ingest import IngestListener, load_metrics_file, parse_endpoint
-from .model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, data_lines, load_topology
+from .model import (MetricKey, MetricMatrix, MetricSeries, ServiceNode, data_lines, load_topology,
+                    quote_line)
 from .pipeline import DiagnosisSettings, diagnose
 from .rootcause import AnomalyConfig
 from .runtime import EngineRuntime
@@ -49,9 +50,12 @@ def _parse_key(text: str) -> MetricKey:
 
 
 def _finite(cell) -> float:
-    value = float(cell)
+    try:
+        value = float(cell)
+    except ValueError:  # its message repeats the cell, which may be a whole long line
+        raise ValueError("not a number") from None
     if not math.isfinite(value):
-        raise ValueError("value is NaN or infinite")
+        raise ValueError("not a finite number")
     return value
 
 
@@ -74,7 +78,7 @@ def _point(line: str, index: int) -> tuple[int, float]:
         if len(cells) > 2:
             raise ValueError(f"{len(cells)} cells, expected value or ts,value")
         value = _finite(cells[-1])
-        ts = int(float(cells[0])) if len(cells) == 2 else index
+        ts = int(_finite(cells[0])) if len(cells) == 2 else index
     if not -(2**63) <= ts < 2**63:
         raise ValueError("timestamp outside int64")
     return ts, value
@@ -89,7 +93,10 @@ def _load_series(args) -> MetricSeries:
     first = next(lines, (0, ""))[1]
     lines.close()
     if first.startswith("{") and not _is_history(first):
-        series_map, _ = load_metrics_file(path)
+        series_map, stats = load_metrics_file(path)
+        if not series_map:  # the first line was rejected, so stats holds its error
+            raise EngineError(f"{path} holds no metric records ({stats.rejected} rejected, "
+                              f"the first as {quote_line(stats.errors[0])})")
         key = getattr(args, "key", None)
         if key is not None:
             wanted = _parse_key(key)
@@ -107,7 +114,7 @@ def _load_series(args) -> MetricSeries:
         try:
             points.append(_point(line, len(points)))
         except (ValueError, TypeError, OverflowError, KeyError, RecursionError) as exc:
-            raise MalformedRecord(f"{path}:{lineno}: {line!r}: {exc}") from exc
+            raise MalformedRecord(f"{path}:{lineno}: {quote_line(line)}: {exc}") from exc
     if not points:
         raise EngineError(f"{path} holds no data points")
     ts, values = zip(*points)
@@ -133,7 +140,7 @@ def _load_matrix(args) -> MetricMatrix:
         try:
             rows.append([_finite(c) if c else math.nan for c in cells])
         except ValueError as exc:
-            raise MalformedRecord(f"{path}:{lineno}: {line!r}") from exc
+            raise MalformedRecord(f"{path}:{lineno}: {quote_line(line)}") from exc
     if not rows:
         raise EngineError(f"{path} holds no data rows")
     return MetricMatrix(

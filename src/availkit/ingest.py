@@ -7,8 +7,8 @@ to `decode_records` and append its records per key. A line spelled
 exactly as `serialize_metric_line` and the simulator write it, or in
 compact separators, is decoded by one regular expression per batch;
 every other line goes through `parse_metric_line`, which defines the
-format. The store keeps a bounded, timestamp-ordered ring per key and
-tolerates bounded reordering.
+format, on its own and in its place. The store keeps a bounded,
+timestamp-ordered ring per key and tolerates bounded reordering.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no fast
 MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
 SHUTDOWN_POLL_S = 0.05  # how often a served thread checks for stop(); stop() waits up to this long
-MIN_RUN = 3  # a shorter run of matched lines decodes faster line by line
 KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
 
 
@@ -155,23 +154,21 @@ class IngestStats:
         other.errors.clear()
 
 
-def _decode_line(line: str, stats: IngestStats, columns: Columns) -> None:
-    """Append the record of one line, or count its rejection; a line that is
-    blank or a '#' comment once stripped is skipped."""
+def _parse_line(line: str, stats: IngestStats) -> MetricSample | None:
+    """The record of one line, or None: a line that is blank or a '#'
+    comment once stripped is skipped, and any other line that does not
+    decode counts its rejection in `stats`."""
     stripped = line.strip()
     if not stripped or stripped[0] == "#":
-        return
+        return None
     if not stripped.isascii() and _undecodable(stripped):
         stats.record_error("undecodable bytes")
-        return
+        return None
     try:
-        sample = parse_metric_line(stripped)
+        return parse_metric_line(stripped)
     except (MalformedRecord, MissingField, NonFiniteValue) as exc:
         stats.record_error(str(exc))
-        return
-    ts, values = columns.setdefault(sample.key, (array("q"), array("d")))
-    ts.append(sample.ts_ms)
-    values.append(sample.value)
+        return None
 
 
 def _undecodable(text: str) -> bool:
@@ -196,18 +193,13 @@ def decode_records(text: str, stats: IngestStats, columns: Columns) -> None:
     matches the whole text against the canonical spelling (_CANONICAL),
     or against the compact one when no line is canonical, and yields one
     row per non-empty line. The numbers of the matched rows are converted
-    in bulk, each distinct key is checked once, and when every row matched
-    and holds a valid record, each key's columns are extended once. Every
-    other line, comments and blanks included, goes through _decode_line in
-    its place, and the runs of valid matched rows between such lines are
-    appended in bulk. Runs shorter than MIN_RUN rows, and texts with so
-    many unmatched rows that such runs are the rule, or with undecodable
-    bytes, go line by line.
+    in bulk and each distinct key text is checked once; undecodable bytes
+    of a matched line can only sit in its key text. Every other row,
+    comments and blanks included, goes through parse_metric_line in line
+    order, and its record, if any, takes the row's place. Each key's
+    columns are then extended once, and a new key gets its columns in the
+    order of its first record.
     """
-    if not text.isascii() and _undecodable(text):
-        for line in text.split("\n"):
-            _decode_line(line, stats, columns)
-        return
     rows = _CANONICAL.findall(text)
     if not any(row[0] for row in rows):  # no line is canonical
         rows = _COMPACT.findall(text)
@@ -215,11 +207,7 @@ def decode_records(text: str, stats: IngestStats, columns: Columns) -> None:
         return
     n = len(rows)
     ts_text, key_text, value_text = zip(*rows)
-    if "" in ts_text:  # a line that did not match: a NaN value rejects it below
-        if (MIN_RUN + 1) * ts_text.count("") > n:  # runs of matched rows are short
-            for line in text.split("\n"):
-                _decode_line(line, stats, columns)
-            return
+    if "" in ts_text:  # a line that did not match: a NaN value sends it to parse_metric_line
         ts_text = [t or "0" for t in ts_text]
         value_text = [v or "nan" for v in value_text]
     ts = np.frombuffer(array("q", map(int, ts_text)), dtype=np.int64)
@@ -230,28 +218,29 @@ def decode_records(text: str, stats: IngestStats, columns: Columns) -> None:
         codes[raw] = code
         ip, service, metric = raw.split('"')[::4] if raw else ("", "", "")
         key = MetricKey(ip, service, metric)
-        keys.append(key if key in columns or (service and metric and is_dotted_quad(ip)) else None)
+        ok = (raw.isascii() or not _undecodable(raw)) and (
+            key in columns or (service and metric and is_dotted_quad(ip)))
+        keys.append(key if ok else None)
     row_codes = np.fromiter(map(codes.__getitem__, key_text), dtype=np.intp, count=n)
     valid = np.isfinite(values)
     if None in keys:
         valid &= np.array([key is not None for key in keys])[row_codes]
-    if valid.all():
-        _extend(columns, keys, row_codes, ts, values)
-        return
-    # each other line through _decode_line, the runs of valid rows between in bulk
-    lines = [line for line in text.split("\n") if line]  # line r is row r
-    start = 0
-    for i in np.flatnonzero(~valid).tolist() + [n]:
-        if i - start >= MIN_RUN:
-            run = row_codes[start:i]
-            seen = list(dict.fromkeys(run.tolist()))  # the run's codes in first-seen order
-            renumber = np.empty(len(keys), dtype=np.intp)
-            renumber[seen] = np.arange(len(seen))
-            _extend(columns, [keys[c] for c in seen], renumber[run], ts[start:i], values[start:i])
-            start = i
-        for line in lines[start:i + 1]:  # a short run, and line i
-            _decode_line(line, stats, columns)
-        start = i + 1
+    if not valid.all():
+        lines = [line for line in text.split("\n") if line]  # line r is row r
+        known = {key: code for code, key in enumerate(keys) if key is not None}
+        for r in np.flatnonzero(~valid).tolist():
+            sample = _parse_line(lines[r], stats)
+            if sample is not None:
+                code = known.setdefault(sample.key, len(keys))
+                if code == len(keys):
+                    keys.append(sample.key)
+                ts[r], values[r], row_codes[r], valid[r] = sample.ts_ms, sample.value, code, True
+        ts, values, row_codes = ts[valid], values[valid], row_codes[valid]
+        seen = list(dict.fromkeys(row_codes.tolist()))  # the kept rows' codes in first-seen order
+        renumber = np.empty(len(keys), dtype=np.intp)
+        renumber[seen] = np.arange(len(seen))
+        keys, row_codes = [keys[c] for c in seen], renumber[row_codes]
+    _extend(columns, keys, row_codes, ts, values)
 
 
 def _extend(columns: Columns, keys: list[MetricKey], codes, ts, values) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import EmptyInput, FileUnreadable, MalformedRecord
 
 MAX_TS_MS = 2**63 - 1  # stored as int64
+QUOTED_CHARS = 80  # of an input line that an error message quotes
 
 _DOTTED_QUAD = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
 
@@ -183,6 +184,14 @@ class ServiceDependencyGraph:
         nodes = [ServiceNode(str(n["ip"]), str(n["service"])) for n in doc.get("nodes", [])]
         edges = [(int(e[0]), int(e[1])) for e in doc.get("edges", [])]
         return cls(nodes=nodes, edges=edges)
+
+
+def quote_line(line: str) -> str:
+    """repr(line) for an error message; a line longer than QUOTED_CHARS
+    is cut to that many characters and its length is given."""
+    if len(line) <= QUOTED_CHARS:
+        return repr(line)
+    return f"{line[:QUOTED_CHARS]!r}... ({len(line)} characters)"
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:

@@ -249,6 +249,20 @@ class TestAvailability:
             api.stop()
         assert status == 400 and doc["error"] == "malformed_record"
 
+    def test_long_bad_events_line_gives_a_short_400(self, tmp_path):
+        events_path = tmp_path / "events.ndjson"
+        events_path.write_text('{"ts_ms": 0, "ip": "10.0.0.9", "service": "edge", "state": "'
+                               + "x" * 200_000 + '"}\n')
+        api = ControlApiServer(EngineRuntime(EngineConfig(events_path=str(events_path))),
+                               host="127.0.0.1", port=0)
+        api.start()
+        try:
+            status, doc = request(api, "GET", "/availability/10.0.0.9/edge")
+        finally:
+            api.stop()
+        assert status == 400 and doc["error"] == "malformed_record"
+        assert len(json.dumps(doc)) < 1024  # the line is quoted by a prefix and its length
+
 
 class TestParams:
     def test_get_put_roundtrip(self, server):

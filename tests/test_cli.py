@@ -17,6 +17,7 @@ from availkit.scenarios import three_tier_with_fault
 
 
 DEEP = b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n"  # past the recursion limit
+LONG = b"x" * 200_000  # a cell that an error line must not echo in full
 
 
 def run_cli(capsys, *argv):
@@ -445,11 +446,16 @@ class TestJsonDocuments:
             (["availability", "--events"], b'{"ts_ms": 0, "ip": "10.0.0.1", "service": "s", "state": "up"}\n' + DEEP),
             (["forecast", "--input"], DEEP + b'{"ts_ms": 0, "score": 0.1}\n'),
             (["forecast", "--input"], b'{"ts_ms": 0, "score": 0.1}\n' + DEEP),
+            (["forecast", "--input"], b"0,0.1\n1," + LONG + b"\n"),
+            (["pc", "--input"], b"a,b\n1,2\n3," + LONG + b"\n"),
+            (["availability", "--events"], b'{"ts_ms": 0, "ip": "10.0.0.1", "service": "s", "state": "up"}\n'
+                                           b'{"ts_ms": 1, "ip": "' + LONG + b'"}\n'),
         ],
         ids=["truncated_topology", "node_without_service", "one_ended_edge", "topology_list",
              "truncated_spec", "spec_without_topology", "non_utf8_config", "truncated_config",
              "infinite_edge_end", "infinite_tick_ms", "infinite_seed", "infinite_event_ts",
-             "deep_event", "deep_first_history_line", "deep_later_history_line"],
+             "deep_event", "deep_first_history_line", "deep_later_history_line",
+             "long_series_line", "long_matrix_line", "long_event_line"],
     )
     def test_bad_document_is_domain_error(self, tmp_path, capsys, monkeypatch, argv, content):
         monkeypatch.setattr(cli, "EngineRuntime", lambda config: pytest.fail("config accepted"))
@@ -460,6 +466,15 @@ class TestJsonDocuments:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert len(err) < 1024  # a long line is quoted by a prefix and its length
+
+    def test_metrics_file_without_records_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "m.ndjson"
+        path.write_bytes(DEEP + b"not a record\n")
+        code, out, err = run_cli(capsys, "forecast", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} holds no metric records (2 rejected, the first as ")
+        assert err.count("\n") == 1 and "e.g. )" not in err and len(err) < 1024
 
 
 class TestSimulateErrors:

@@ -369,28 +369,47 @@ class TestListener:
 # --- batch decode: the file loader against the per-line loop it replaced ---
 
 
+def per_line_reference(text, stats, columns):
+    """decode_records spelled out: each line of `text` stripped, blank and
+    '#' lines skipped, a line that held bytes that are not UTF-8 rejected,
+    and every other line through parse_metric_line."""
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            stripped.encode("utf-8")
+        except UnicodeEncodeError:
+            stats.record_error("undecodable bytes")
+            continue
+        try:
+            s = parse_metric_line(stripped)
+        except (MalformedRecord, MissingField, NonFiniteValue) as exc:
+            stats.record_error(str(exc))
+            continue
+        ts, values = columns.setdefault(s.key, ([], []))
+        ts.append(s.ts_ms)
+        values.append(s.value)
+
+
+def reference_series(columns):
+    """Per key, its points sorted by ts with the last write winning, and
+    the number of records that a later one overwrote."""
+    series = {key: sorted(dict(zip(ts, values)).items()) for key, (ts, values) in columns.items()}
+    overwritten = sum(len(ts) for ts, _ in columns.values()) - sum(map(len, series.values()))
+    return series, overwritten
+
+
 def reference_load(*paths):
-    """parse_metric_line on every stripped, non-comment line; the last
-    write per (key, ts) wins."""
-    stats = IngestStats()
-    per_key = {}
+    """per_line_reference on each file's text; the last write per
+    (key, ts) wins."""
+    stats, columns = IngestStats(), {}
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                try:
-                    s = parse_metric_line(stripped)
-                except (MalformedRecord, MissingField, NonFiniteValue) as exc:
-                    stats.record_error(str(exc))
-                    continue
-                bucket = per_key.setdefault(s.key, {})
-                if s.ts_ms in bucket:
-                    stats.deduped += 1
-                bucket[s.ts_ms] = s.value
-                stats.accepted += 1
-    return {key: sorted(points.items()) for key, points in per_key.items()}, stats
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            per_line_reference(fh.read(), stats, columns)
+    series, stats.deduped = reference_series(columns)
+    stats.accepted = sum(len(ts) for ts, _ in columns.values())
+    return series, stats
 
 
 def record(ts, value, **fields):
@@ -854,6 +873,7 @@ def assert_same_stream(path):
     assert (st.accepted + st.deduped, st.rejected, st.deduped, st.late_dropped) == (
         want_stats.accepted, want_stats.rejected, want_stats.deduped, 0)
     assert st.errors == want_stats.errors
+    return got
 
 
 def count_json_lines(monkeypatch):
@@ -927,9 +947,9 @@ class TestCanonicalPath:
         assert_same_load([path])
 
     def test_mostly_garbage_batch_skips_the_match(self, monkeypatch):
-        # every second line is garbage, so half the rows are unmatched: the
-        # batch goes line by line after the canonical findall, with no
-        # compact retry
+        # every second line is garbage, so half the rows are unmatched: each
+        # garbage line goes through parse_metric_line after the canonical
+        # findall, with no compact retry
         records = base_lines(random.Random(11), 30_000)
         lines = [line for record in records for line in (record, EDGE_CASES["garbage"])]
         want_stats, want = IngestStats(), {}
@@ -989,3 +1009,92 @@ class TestCanonicalPath:
         series = load_metrics_file(write_lines(tmp_path / "m.ndjson", lines))[0]
         assert list(series) == keys and all(len(s) for s in series.values())
         assert_same_load([tmp_path / "m.ndjson"])
+
+    def test_half_garbage_batch_parses_only_its_garbage(self, monkeypatch):
+        records = [canonical(ts=str(i), metric=("a", "b")[i % 2]) for i in range(40)]
+        lines = [line for record in records for line in (record, EDGE_CASES["garbage"])]
+        seen = count_json_lines(monkeypatch)
+        stats, columns = IngestStats(), {}
+        ingest.decode_records("\n".join(lines), stats, columns)
+        assert seen == [EDGE_CASES["garbage"]] * 40
+        assert stats.rejected == 40 and [ts.tolist() for ts, _ in columns.values()] == [
+            list(range(0, 40, 2)), list(range(1, 40, 2))]
+
+    def test_undecodable_line_leaves_the_batch_in_bulk(self, monkeypatch):
+        records = [canonical(ts=str(i)).encode() for i in range(30)]
+        undecodable = canonical(ts="99", service="my\udcffsql").encode("utf-8", "surrogateescape")
+        data = b"\n".join(records[:10] + [undecodable] + records[10:20] + [b"garbage"] + records[20:])
+        seen = count_json_lines(monkeypatch)
+        stats, columns = IngestStats(), {}
+        ingest.decode_records(data.decode("utf-8", "surrogateescape"), stats, columns)
+        assert seen == ["garbage"]
+        assert stats.errors == ["undecodable bytes", "bad record structure: 'garbage'"]
+        assert [ts.tolist() for ts, _ in columns.values()] == [list(range(30))]
+
+
+# --- decode_records, files and TCP against a per-line reference on mixed batches ---
+
+
+def mixed_line(rng, spell):
+    """One line as bytes: mostly records in `spell`ing, the rest every
+    other kind of line decode_records meets."""
+    ts = str(rng.randrange(50))
+    value = rng.choice(["0.5", "1", "-2.5e-3", "7E2", "-0", "1e999"])
+    metric = rng.choice(["cpu_util", "mem_used", "latency"])
+    kinds = [
+        spell(canonical(ts=ts, metric=metric, value=value)),
+        spell(canonical(ts=ts, ip=rng.choice(["10.0.0.256", "db-host"]), value=value)),
+        spell(canonical(ts=ts, service="")),
+        compact(canonical(ts=ts, metric=metric)) if spell is not compact else canonical(ts=ts),
+        spell(canonical(ts=ts, metric=metric)) + "\r",
+        spell(canonical(ts=str(2**63 - 1 - int(ts)), metric=metric)),  # 19 digits
+        spell(canonical(ts=ts, metric="cpu\\u005futil")),  # the key of cpu_util, escaped
+        spell(canonical(ts=ts, metric='quo\\"te')),
+        spell(canonical(ts=ts, service="café")),
+        spell(canonical(ts=ts, service="my\\udcffsql")),  # a lone surrogate, escaped: accepted
+        spell(canonical(ts=ts, service="my\udcffsql")),  # the same key from a raw 0xff byte: rejected
+        '{"ts_ms": \udcff}',
+        # other key order; its key appears on no other kind of line
+        json.dumps({"ip": "10.0.0.7", "ts_ms": int(ts), "service": "fresh", "metric": "reordered",
+                    "value": 1.5}),
+        "not a record",
+        "",
+        "  \t",
+        "# comment",
+    ]
+    line = kinds[0] if rng.random() < 0.5 else rng.choice(kinds)
+    return line.encode("utf-8", "surrogateescape")
+
+
+def mixed_batches(seed, count=150):
+    rng = random.Random(seed)
+    return [b"\n".join(mixed_line(rng, rng.choice([lambda line: line, compact]))
+                       for _ in range(rng.randrange(1, 60))) + b"\n"
+            for _ in range(count)]
+
+
+class TestMixedBatches:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decode_records_matches_per_line(self, seed):
+        want_stats, want = IngestStats(), {}
+        got_stats, got = IngestStats(), {}
+        for data in mixed_batches(seed):
+            text = data.decode("utf-8", "surrogateescape")
+            per_line_reference(text, want_stats, want)
+            ingest.decode_records(text, got_stats, got)
+            assert list(got) == list(want)
+            for key, (ts, values) in want.items():
+                assert got[key][0].tolist() == ts
+                assert got[key][1].tobytes() == np.array(values, dtype=np.float64).tobytes()
+            assert got_stats == want_stats
+        assert want_stats.rejected > 20 and len(want) > 5
+        assert MetricKey("10.0.0.7", "fresh", "reordered") in want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_file_and_stream_match_per_line(self, tmp_path, seed):
+        path = tmp_path / "m.ndjson"
+        path.write_bytes(b"".join(mixed_batches(seed)))
+        want = assert_same_load([path])
+        got = assert_same_stream(path)
+        assert list(got) == list(reference_load(path)[0])  # keys in the order of their first records
+        assert want.rejected > 20 and want.deduped > 0

@@ -36,6 +36,7 @@ import numpy as np
 from .availability import UpDownEvent, serialize_event_line
 from .errors import DegenerateSpec, InvalidSpec
 from .model import (
+    MAX_TS_MS,
     MetricKey,
     MetricSample,
     ServiceDependencyGraph,
@@ -47,6 +48,7 @@ from .model import (
 )
 
 
+MAX_SIM_VALUES = 2**24  # duration_ticks x metrics a spec may ask for: 128 MB of float64 values
 _SIM_BLOCK = 512    # ticks of noise and fault effects held at once
 _WRITE_BLOCK = 128  # ticks of metrics.ndjson lines formatted at once
 
@@ -157,6 +159,12 @@ class SimSpec:
                 problems.append("fault magnitude must be positive")
         if self.tick_ms <= 0 or self.duration_ticks <= 0:
             problems.append("tick_ms and duration_ticks must be positive")
+            return problems
+        n_values = self.duration_ticks * sum(len(model.metrics) for model in self.services)
+        if n_values > MAX_SIM_VALUES:
+            problems.append(f"duration_ticks x metrics is {n_values} values, over {MAX_SIM_VALUES}")
+        if (self.duration_ticks - 1) * self.tick_ms > MAX_TS_MS:
+            problems.append(f"the last timestamp (duration_ticks - 1) x tick_ms exceeds {MAX_TS_MS}")
         return problems
 
     def validate(self) -> None:

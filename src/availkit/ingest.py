@@ -2,13 +2,15 @@
 
 One record per line: a JSON object with the fixed key order
 ts_ms, ip, service, metric, value. Files and the socket stream share the
-format; '#'-prefixed lines are comments. Both hand the text of each read
-to `decode_records` and append its records per key. A line spelled
+format; '#'-prefixed lines are comments, and LF, CRLF or a lone CR ends
+a line. Both are framed by one line reader, which hands the text of each
+read to `decode_records`, and append its records per key. A line spelled
 exactly as `serialize_metric_line` and the simulator write it, or in
 compact separators, is decoded by one regular expression per batch;
 every other line goes through `parse_metric_line`, which defines the
-format, on its own and in its place. The store keeps a bounded,
-timestamp-ordered ring per key and tolerates bounded reordering.
+format, on its own and in its place. The store keeps each key's newest
+points in timestamp order, up to a capacity, and tolerates bounded
+reordering.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import socketserver
 import threading
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -34,8 +35,7 @@ log = logging.getLogger(__name__)
 
 FIELD_ORDER = ("ts_ms", "ip", "service", "metric", "value")
 
-BATCH_LINES = 512  # lines per file batch; 4,096 held 4 MB more at peak, no faster
-MAX_LINE_BYTES = 64 * 1024  # a longer TCP line is rejected and skipped up to its newline
+MAX_LINE_BYTES = 64 * 1024  # a longer line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
 SHUTDOWN_POLL_S = 0.05  # how often a served thread checks for stop(); stop() waits up to this long
 KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
@@ -44,8 +44,8 @@ KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are on
 def _record_pattern(colon: str, comma: str) -> re.Pattern:
     """One non-empty line of a batch's text: a record in the canonical key order
     with these separators, grouping ts, the key text from ip to metric,
-    and value, and ended by "\n" or "\r\n" (as strip() would leave it); or
-    any other line, with all three groups empty.
+    and value, up to the line's end; or any other line, with all three
+    groups empty.
 
     Each name holds no '"', '\\' or control character, so its JSON value is
     its raw text. ts has at most 18 digits, so it fits int64 and int()
@@ -60,7 +60,7 @@ def _record_pattern(colon: str, comma: str) -> re.Pattern:
         '"metric"' + colon + '"' + name + ')"',
         '"value"' + colon + r'(?!-0\})(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}',
     ])
-    return re.compile(r"^(?:" + record + r"\r?|.+)$", re.M)
+    return re.compile(r"^(?:" + record + r"|.+)$", re.M)
 
 
 _CANONICAL = _record_pattern(": ", ", ")  # serialize_metric_line's and the simulator's spelling
@@ -187,12 +187,12 @@ def decode_records(text: str, stats: IngestStats, columns: Columns) -> None:
     parse_metric_line on every stripped line that is neither blank nor a
     '#' comment would.
 
-    `text` is one read as it came, lines separated by "\n", decoded with
-    errors="surrogateescape"; a line that held bytes that are not UTF-8
-    counts one "undecodable bytes" rejection in its place. One findall
-    matches the whole text against the canonical spelling (_CANONICAL),
-    or against the compact one when no line is canonical, and yields one
-    row per non-empty line. The numbers of the matched rows are converted
+    `text` is one read's complete lines, separated by "\n" and decoded
+    with errors="surrogateescape" (see `_read_lines`); a line that held
+    bytes that are not UTF-8 counts one "undecodable bytes" rejection in
+    its place. One findall matches the whole text against the canonical
+    spelling (_CANONICAL), or against the compact one when no line is
+    canonical, and yields one row per non-empty line. The numbers of the matched rows are converted
     in bulk and each distinct key text is checked once; undecodable bytes
     of a matched line can only sit in its key text. Every other row,
     comments and blanks included, goes through parse_metric_line in line
@@ -260,22 +260,59 @@ def _extend(columns: Columns, keys: list[MetricKey], codes, ts, values) -> None:
         lo = hi
 
 
+def _read_lines(read, rejected: IngestStats):
+    r"""Yield, per read(_READ_BYTES), its complete lines as one
+    "\n"-separated text (maybe empty) decoded with errors="surrogateescape";
+    the unterminated rest of the input comes last. Each "\r" becomes "\n"
+    as it arrives, so "\r\n" and a lone "\r" end a line too. A line over
+    MAX_LINE_BYTES counts one rejection in `rejected` and is skipped up to
+    its newline."""
+    too_long = f"line longer than {MAX_LINE_BYTES} bytes"
+    pending = bytearray()
+    skipping = False
+    while data := read(_READ_BYTES):
+        data = data.replace(b"\r", b"\n")
+        if skipping:
+            first = data.find(b"\n")
+            data = data[first + 1 :] if first >= 0 else b""
+            skipping = first < 0
+        chunk = b""
+        last = data.rfind(b"\n")
+        if last < 0:
+            pending += data
+        else:
+            chunk = bytes(pending + data[:last])
+            pending = bytearray(data[last + 1 :])
+            first = chunk.find(b"\n")
+            if (first if first >= 0 else len(chunk)) > MAX_LINE_BYTES:
+                rejected.record_error(too_long)
+                chunk = chunk[first + 1 :] if first >= 0 else b""
+        if len(pending) > MAX_LINE_BYTES:
+            rejected.record_error(too_long)
+            pending.clear()
+            skipping = True
+        yield chunk.decode("utf-8", "surrogateescape")
+    if pending:
+        yield pending.decode("utf-8", "surrogateescape")
+
+
 def load_metrics_file(*paths) -> tuple[dict[MetricKey, MetricSeries], IngestStats]:
     """Group metrics files by key, sorted by ts, last write per ts wins
     (later lines and later files win).
 
-    Each file is read and decoded BATCH_LINES lines at a time. Per-line
+    Each file is read in binary and framed by `_read_lines`, so a line
+    longer than MAX_LINE_BYTES is one rejection, as on the socket. Per-line
     problems are counted and skipped; only an unreadable file is fatal.
     """
     stats = IngestStats()
     columns: Columns = {}
     for path in paths:
         try:
-            fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+            fh = open(path, "rb")
         except OSError as exc:
             raise FileUnreadable(f"cannot read {path}: {exc}") from exc
         with fh:
-            while text := "".join(islice(fh, BATCH_LINES)):
+            for text in _read_lines(fh.read, stats):
                 decode_records(text, stats, columns)
     series = {}
     for key, (ts_col, val_col) in columns.items():
@@ -318,11 +355,11 @@ class MetricStore:
         The result equals appending the samples one at a time: per sample,
         late-drop against the key's newest point, dedup last-write-wins,
         insert out-of-order samples in place, and keep the newest
-        capacity points. Eviction advances a start index and deletes once
-        per key, so a sample older than every retained point is accepted
-        and evicted at once, as a single append would do. Returns the
-        number of samples not late-dropped; keys with no samples are
-        skipped.
+        capacity points. Only the newest capacity points are searched, so a
+        sample older than all of them is inserted just below them and
+        evicted at once, as a single append would do; each key is trimmed
+        to capacity once, after its samples. Returns the number of samples
+        not late-dropped; keys with no samples are skipped.
         """
         buffer_ms, capacity = self._buffer_ms, self._capacity
         accepted = deduped = late = 0
@@ -331,37 +368,25 @@ class MetricStore:
                 if not len(new_ts):
                     continue
                 ts, values = self._data.setdefault(key, (array("q"), array("d")))
-                start = 0  # ts[:start] is evicted
                 for t, v in zip(new_ts, new_values):
-                    if ts:
-                        newest = ts[-1]
-                        if t < newest - buffer_ms:
-                            late += 1
-                            continue
-                        if t > newest:
-                            ts.append(t)
-                            values.append(v)
-                        elif t == newest:
-                            values[-1] = v  # dedup: last write wins
-                            deduped += 1
-                            continue
-                        else:
-                            pos = bisect.bisect_left(ts, t, start)
-                            if ts[pos] == t:
-                                values[pos] = v
-                                deduped += 1
-                                continue
-                            ts.insert(pos, t)
-                            values.insert(pos, v)
-                    else:
+                    if not ts or t > ts[-1]:
                         ts.append(t)
                         values.append(v)
-                    if len(ts) - start > capacity:
-                        start += 1
+                    elif t < ts[-1] - buffer_ms:
+                        late += 1
+                        continue
+                    else:
+                        pos = bisect.bisect_left(ts, t, max(0, len(ts) - capacity))
+                        if ts[pos] == t:
+                            values[pos] = v  # dedup: last write wins
+                            deduped += 1
+                            continue
+                        ts.insert(pos, t)
+                        values.insert(pos, v)
                     accepted += 1
-                if start:
-                    del ts[:start]
-                    del values[:start]
+                if len(ts) > capacity:
+                    del ts[:-capacity]
+                    del values[:-capacity]
             self.stats.accepted += accepted
             self.stats.deduped += deduped
             self.stats.late_dropped += late
@@ -406,42 +431,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         store: MetricStore = self.server.store  # type: ignore[attr-defined]
         rejected = IngestStats()  # this read's rejections; the store counts them with its records
-        for chunk in self._chunks(rejected):
+        for text in _read_lines(self.rfile.read1, rejected):
             columns: Columns = {}
-            decode_records(chunk.decode("utf-8", "surrogateescape"), rejected, columns)
+            decode_records(text, rejected, columns)
             store.append_many(columns, rejected)
-
-    def _chunks(self, rejected: IngestStats):
-        """Yield, per read, its complete lines as one newline-separated
-        chunk (maybe empty); the unterminated rest of the stream comes
-        last. A line over MAX_LINE_BYTES counts one rejection in `rejected`
-        and is skipped up to its newline."""
-        too_long = f"line longer than {MAX_LINE_BYTES} bytes"
-        pending = bytearray()
-        skipping = False
-        while data := self.rfile.read1(_READ_BYTES):
-            if skipping:
-                first = data.find(b"\n")
-                data = data[first + 1 :] if first >= 0 else b""
-                skipping = first < 0
-            chunk = b""
-            last = data.rfind(b"\n")
-            if last < 0:
-                pending += data
-            else:
-                chunk = bytes(pending + data[:last])
-                pending = bytearray(data[last + 1 :])
-                first = chunk.find(b"\n")
-                if (first if first >= 0 else len(chunk)) > MAX_LINE_BYTES:
-                    rejected.record_error(too_long)
-                    chunk = chunk[first + 1 :] if first >= 0 else b""
-            if len(pending) > MAX_LINE_BYTES:
-                rejected.record_error(too_long)
-                pending.clear()
-                skipping = True
-            yield chunk
-        if pending:
-            yield bytes(pending)
 
 
 class ServerThread:

@@ -263,16 +263,6 @@ class MetricDependencyGraph:
         if any(i == j for i, j in self.directed) or any(i == j for i, j in self.undirected):
             raise ValueError("self loops are not allowed")
 
-    def parents_of(self, j: int) -> set[int]:
-        """Directed parents plus undirected neighbours (both ways count)."""
-        out = {i for (i, k) in self.directed if k == j}
-        for a, b in self.undirected:
-            if a == j:
-                out.add(b)
-            elif b == j:
-                out.add(a)
-        return out
-
     def directed_is_acyclic(self) -> bool:
         return topological_order(len(self.metrics), self.directed) is not None
 

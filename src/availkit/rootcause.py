@@ -4,7 +4,11 @@ Level 1 walks the service dependency graph from the entry point and keeps
 the anomalous services with no anomalous callee (failures propagate
 upstream, so the deepest anomalous services are the best candidates).
 Level 2 ranks, inside each candidate, the anomalous metrics that have no
-anomalous parent in the learned metric dependency graph.
+anomalous parent in the learned metric dependency graph. Anomalous metrics
+that unoriented edges join are one cause or none, since the data leave
+their order open: CauseInfer's rule (Chen et al., INFOCOM 2014) that a
+cause is an anomalous node with no anomalous parent, applied to the chain
+components of the completed graph.
 """
 
 from __future__ import annotations
@@ -160,7 +164,13 @@ def localize(
 ) -> Diagnosis:
     """Two-level localization: deepest anomalous services, then their
     anomalous metrics with no anomalous parent, ranked by z-score with a
-    total (ip, service, metric) tie-break."""
+    total (ip, service, metric) tie-break.
+
+    Anomalous metrics that undirected edges join form one component. It
+    is a cause, and all its members are ranked, when no member has an
+    anomalous directed parent outside it; its evidence names its
+    undirected edges.
+    """
     if topology.index_of(entry) is None:
         raise EntryNotInTopology(f"{entry.label()} is not a topology node")
 
@@ -180,25 +190,48 @@ def localize(
             metric: score for (svc, metric), score in scores.items() if svc == node
         }
         hot = {m for m, s in node_scores.items() if s > cfg.z_threshold}
+        parents: dict[str, set[str]] = {m: set() for m in hot}  # directed parents
+        neighbours: dict[str, set[str]] = {m: set() for m in hot}  # undirected
         graph = metric_graphs.get(node)
-        for metric in sorted(hot):
-            parents: set[str] = set()
-            if graph is not None and metric in graph.metrics:
-                j = graph.metrics.index(metric)
-                parents = {graph.metrics[i] for i in graph.parents_of(j)}
-            hot_parents = sorted(parents & hot)
-            if hot_parents:
+        if graph is not None:
+            names = graph.metrics
+            for i, j in graph.directed:
+                if names[j] in hot:
+                    parents[names[j]].add(names[i])
+            for i, j in graph.undirected:
+                for a, b in ((names[i], names[j]), (names[j], names[i])):
+                    if b in hot:
+                        neighbours[b].add(a)
+        done: set[str] = set()
+        for first in sorted(hot):
+            if first in done:
+                continue
+            component, todo = set(), [first]
+            while todo:  # the hot metrics undirected edges join to `first`
+                metric = todo.pop()
+                if metric not in component:
+                    component.add(metric)
+                    todo.extend(neighbours[metric] & hot)
+            done |= component
+            if any((parents[m] - component) & hot for m in component):
                 continue  # this anomaly is explained by an upstream metric
-            score = node_scores[metric]
-            causes.append((node, metric, score))
-            if parents:
-                detail = f"no anomalous parent among {sorted(parents)}"
-            else:
-                detail = "no parent metric in the dependency graph"
-            shown = "inf" if math.isinf(score) else f"{score:.2f}"
-            evidence_by_cause[(node, metric)] = (
-                f"{node.label()}/{metric}: z={shown} exceeds {cfg.z_threshold}; {detail}"
-            )
+            edges = sorted(f"{a}-{b}" for a in component for b in neighbours[a] & component if a < b)
+            for metric in sorted(component):
+                score = node_scores[metric]
+                causes.append((node, metric, score))
+                outside = sorted((parents[metric] | neighbours[metric]) - component)
+                if outside:
+                    detail = f"no anomalous parent among {outside}"
+                elif edges:
+                    detail = "no parent metric outside its component"
+                else:
+                    detail = "no parent metric in the dependency graph"
+                if edges:
+                    detail += f"; unoriented edges {', '.join(edges)} join the hot metrics {sorted(component)}"
+                shown = "inf" if math.isinf(score) else f"{score:.2f}"
+                evidence_by_cause[(node, metric)] = (
+                    f"{node.label()}/{metric}: z={shown} exceeds {cfg.z_threshold}; {detail}"
+                )
 
     causes.sort(key=lambda c: (-c[2], (c[0].ip, c[0].service, c[1])))
     evidence = [evidence_by_cause[(node, metric)] for node, metric, _ in causes]

@@ -426,6 +426,14 @@ class TestUsageErrors:
         assert code == 1
         assert "either --spec or --random" in err
 
+    @pytest.mark.parametrize("size", [["--ticks", "1000000000"], ["--tick-ms", str(2**62)]],
+                             ids=["too_many_values", "last_ts_over_int64"])
+    def test_oversized_simulation_is_domain_error(self, tmp_path, capsys, size):
+        code, out, err = run_cli(capsys, "simulate", "--random", "--out", str(tmp_path), *size)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestJsonDocuments:
     @pytest.mark.parametrize(

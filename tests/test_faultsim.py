@@ -9,6 +9,7 @@ from availkit.errors import DegenerateSpec, InvalidSpec
 from availkit.errors import MalformedRecord
 from availkit.faultsim import (
     _SIM_BLOCK,
+    MAX_SIM_VALUES,
     PER_METRIC,
     FaultEvent,
     FaultKind,
@@ -25,7 +26,7 @@ from availkit.faultsim import (
     stationary_stats,
 )
 from availkit.ingest import load_metrics_file, serialize_metric_line
-from availkit.model import MetricSample, ServiceDependencyGraph, ServiceNode
+from availkit.model import MAX_TS_MS, MetricSample, ServiceDependencyGraph, ServiceNode
 from availkit.scenarios import (
     APP,
     DB,
@@ -52,6 +53,20 @@ class TestSpecValidation:
         spec.faults = [FaultEvent(50, 200, (DB, "cpu_util"), FaultKind.cpu_hog, 8.0)]
         with pytest.raises(InvalidSpec):
             spec.validate()
+
+    def test_value_count_capped(self):
+        per_tick = 13  # metrics of the three-tier spec
+        assert three_tier_spec(seed=0, duration_ticks=MAX_SIM_VALUES // per_tick).violations() == []
+        spec = three_tier_spec(seed=0, duration_ticks=MAX_SIM_VALUES // per_tick + 1)
+        assert spec.violations() == [
+            f"duration_ticks x metrics is {spec.duration_ticks * per_tick} values, over {MAX_SIM_VALUES}"]
+
+    def test_last_timestamp_fits_int64(self):
+        assert three_tier_spec(seed=0, duration_ticks=2, tick_ms=MAX_TS_MS).violations() == []
+        for ticks, tick_ms in ((2, MAX_TS_MS + 1), (100, 2**62)):
+            spec = three_tier_spec(seed=0, duration_ticks=ticks, tick_ms=tick_ms)
+            assert spec.violations() == [
+                f"the last timestamp (duration_ticks - 1) x tick_ms exceeds {MAX_TS_MS}"]
 
     def test_cyclic_metric_model_rejected(self):
         spec = three_tier_spec(seed=0, duration_ticks=100)

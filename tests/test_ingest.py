@@ -483,13 +483,17 @@ def place(lines, base, at, block):
     lines.extend(block)
 
 
-def write_corpus(tmp_path, batch=ingest.BATCH_LINES):
+BLOCK = 512  # lines per block of a test corpus
+SMALL_READ = 700  # bytes per read when a test shrinks ingest._READ_BYTES: about seven lines
+
+
+def write_corpus(tmp_path, batch=BLOCK):
     rng = random.Random(5)
     base = base_lines(rng, 3 * batch)
     first = SPLICE + ODD_LINES
     half = len(ODD_LINES) // 2
     place(first, base, batch - 1 - half, ODD_LINES[:half])
-    place(first, base, batch - 1, SPLICE)  # lines batch-1 and batch straddle the boundary
+    place(first, base, batch - 1, SPLICE)  # lines batch-1 and batch straddle the block boundary
     place(first, base, len(first), ODD_LINES[half:] + SPLICE)
     place(first, base, 2 * batch - 3, ODD_LINES)
     first.extend(base)
@@ -521,11 +525,11 @@ def assert_same_load(paths):
 class TestBatchDecode:
     def test_matches_per_line_loop(self, tmp_path):
         stats = assert_same_load(write_corpus(tmp_path))
-        assert stats.accepted > 2 * ingest.BATCH_LINES and stats.deduped > 50
+        assert stats.accepted > 2 * BLOCK and stats.deduped > 50
         assert stats.rejected > 20 and len(stats.errors) == 20
 
     def test_matches_per_line_loop_on_small_batches(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "BATCH_LINES", 7)
+        monkeypatch.setattr(ingest, "_READ_BYTES", SMALL_READ)
         assert_same_load(write_corpus(tmp_path, batch=7))
 
     def test_each_odd_line_alone(self, tmp_path):
@@ -790,6 +794,34 @@ class TestTcpFraming:
         assert store.stats.deduped == 0 and len(store.stats.errors) == 20
 
 
+class TestLineReader:
+    """Files and the socket share one line reader and its line cap."""
+
+    def test_over_long_file_line_rejected_once(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        path.write_bytes(line_bytes(1) + b"x" * (MAX_LINE_BYTES + 1) + b"\n" + line_bytes(2) + line_bytes(3))
+        series, stats = load_metrics_file(path)
+        assert (stats.accepted, stats.rejected) == (3, 1)
+        assert stats.errors == [f"line longer than {MAX_LINE_BYTES} bytes"]
+        assert series[sample().key].ts.tolist() == [1, 2, 3]
+
+    def test_file_line_at_the_cap_is_decoded(self, tmp_path):
+        path = tmp_path / "m.ndjson"
+        padded = line_bytes(1).rstrip(b"\n").ljust(MAX_LINE_BYTES) + b"\n"
+        path.write_bytes(line_bytes(0) + padded + line_bytes(2))
+        series, stats = load_metrics_file(path)
+        assert (stats.accepted, stats.rejected) == (3, 0)
+        assert series[sample().key].ts.tolist() == [0, 1, 2]
+
+    def test_lone_carriage_returns_end_tcp_lines(self, tcp_store):
+        store, endpoint = tcp_store
+        with socket.create_connection(endpoint) as conn:
+            conn.sendall(b"\r".join(line_bytes(t).rstrip(b"\n") for t in (1, 2, 3)) + b"\r")
+        assert wait_for(lambda: store.stats.accepted == 3)
+        assert store.stats.rejected == 0
+        assert store.series(sample().key).ts.tolist() == [1, 2, 3]
+
+
 # --- the canonical fast path against the per-line loop ---
 
 
@@ -892,15 +924,15 @@ class TestCanonicalPath:
     @pytest.mark.parametrize("line", EDGE_CASES.values(), ids=EDGE_CASES.keys())
     def test_edge_case_alone_and_mixed(self, tmp_path, monkeypatch, line):
         assert_same_load([write_lines(tmp_path / "alone.ndjson", [line])])
-        assert_same_load([mixed_corpus(tmp_path / "mixed.ndjson", line, ingest.BATCH_LINES)])
-        assert_same_load([mixed_corpus(tmp_path / "compact.ndjson", line, ingest.BATCH_LINES, compact)])
-        monkeypatch.setattr(ingest, "BATCH_LINES", 7)
+        assert_same_load([mixed_corpus(tmp_path / "mixed.ndjson", line, BLOCK)])
+        assert_same_load([mixed_corpus(tmp_path / "compact.ndjson", line, BLOCK, compact)])
+        monkeypatch.setattr(ingest, "_READ_BYTES", SMALL_READ)
         assert_same_load([mixed_corpus(tmp_path / "mixed7.ndjson", line, 7)])
         assert_same_load([mixed_corpus(tmp_path / "compact7.ndjson", line, 7, compact)])
 
     def test_edge_cases_streamed(self, tmp_path):
-        # one listener for all cases: the TCP handler ignores BATCH_LINES
-        # and decodes whatever one read holds
+        # one listener for all cases: the TCP handler decodes whatever one
+        # read holds
         base = base_lines(random.Random(5), 40 * len(EDGE_CASES))
         lines = []
         for i, line in enumerate(EDGE_CASES.values()):
@@ -918,28 +950,31 @@ class TestCanonicalPath:
         path.write_text("".join(lines), encoding="utf-8")
         want, want_stats = reference_load(path)
         seen = count_json_lines(monkeypatch)
-        for batch in (ingest.BATCH_LINES, 1, 7):
-            monkeypatch.setattr(ingest, "BATCH_LINES", batch)
+        for read_bytes in (ingest._READ_BYTES, 1, SMALL_READ):
+            monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
             series, stats = load_metrics_file(path)
             assert list(series) == list(want) and stats == want_stats
             for key, points in want.items():
                 assert series[key].values.tobytes() == np.array([v for _, v in points]).tobytes()
         assert seen == []
 
-    def test_crlf_lines_skip_json(self, monkeypatch):
-        # a TCP read keeps each "\r" of a CRLF line end
-        lines = [canonical(ts=str(i), metric=("a", "b")[i % 2]) + "\r" for i in range(20)]
+    def test_crlf_lines_skip_json(self, tmp_path, monkeypatch):
+        lines = [canonical(ts=str(i), metric=("a", "b")[i % 2]) for i in range(20)]
+        path = tmp_path / "m.ndjson"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
         seen = count_json_lines(monkeypatch)
-        stats, columns = IngestStats(), {}
-        ingest.decode_records("\n".join(lines) + "\n", stats, columns)
-        assert seen == [] and stats == IngestStats()
-        assert [ts.tolist() for ts, _ in columns.values()] == [list(range(0, 20, 2)), list(range(1, 20, 2))]
+        series, stats = load_metrics_file(path)
+        assert stats == IngestStats(accepted=20)
+        assert [s.ts.tolist() for s in series.values()] == [list(range(0, 20, 2)), list(range(1, 20, 2))]
+        got = assert_same_stream(path)
+        assert [s.ts.tolist() for s in got.values()] == [list(range(0, 20, 2)), list(range(1, 20, 2))]
+        assert seen == []
 
     @pytest.mark.parametrize("odd", [EDGE_CASES["garbage"], EDGE_CASES["ip_octet_over_255"],
                                      EDGE_CASES["value_inf"], EDGE_CASES["compact_separators"]],
                              ids=["garbage", "bad_ip", "inf", "compact"])
     def test_one_odd_line_leaves_the_batch_in_bulk(self, tmp_path, monkeypatch, odd):
-        base = base_lines(random.Random(7), 3 * ingest.BATCH_LINES)
+        base = base_lines(random.Random(7), 3 * BLOCK)
         path = write_lines(tmp_path / "m.ndjson", base[:100] + [odd] + base[100:700] + [odd] + base[700:])
         seen = count_json_lines(monkeypatch)
         load_metrics_file(path)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from availkit.entropy import HealthReport
+from availkit.causal import PCConfig
+from availkit.entropy import EntropyConfig, HealthReport
 from availkit.errors import EmptyWindow, EntryNotInTopology
-from availkit.model import MetricDependencyGraph, ServiceDependencyGraph, ServiceNode
+from availkit.faultsim import FaultEvent, FaultKind, generate_random_spec, simulate_frames
+from availkit.model import MetricDependencyGraph, MetricSeries, ServiceDependencyGraph, ServiceNode
+from availkit.pipeline import DiagnosisSettings, diagnose
 from availkit.rootcause import (
     AnomalyConfig,
     ServiceStatus,
@@ -14,6 +17,7 @@ from availkit.rootcause import (
     service_anomaly,
     zscore_anomaly,
 )
+from availkit.scenarios import three_tier_with_fault
 
 WEB = ServiceNode("10.0.0.1", "web")
 APP = ServiceNode("10.0.0.2", "app")
@@ -146,7 +150,17 @@ class TestLocalize:
         g = graph(["a", "b"], undirected={(0, 1)})
         scores = {(DB, "a"): 5.0, (DB, "b"): 6.0}
         diag = localize(CHAIN, WEB, {DB}, {DB: g}, scores, CFG, produced_at_ms=0)
-        assert diag.ranked_causes == []  # mutual parents exclude each other
+        # the edge leaves their order open: both are one cause, ranked by z-score
+        assert diag.ranked_causes == [(DB, "b", 6.0), (DB, "a", 5.0)]
+        assert all("unoriented edges a-b" in line for line in diag.evidence)
+
+    def test_component_with_hot_directed_parent_excluded(self):
+        # p -> a - b: the hot parent p explains the whole component {a, b}
+        g = graph(["p", "a", "b", "c"], directed={(0, 1)}, undirected={(1, 2), (2, 3)})
+        scores = {(DB, "p"): 4.0, (DB, "a"): 5.0, (DB, "b"): 6.0, (DB, "c"): 1.0}
+        diag = localize(CHAIN, WEB, {DB}, {DB: g}, scores, CFG, produced_at_ms=0)
+        assert diag.ranked_causes == [(DB, "p", 4.0)]
+        assert diag.evidence == ["10.0.0.3:db/p: z=4.00 exceeds 3.0; no parent metric in the dependency graph"]
 
     def test_entry_only_anomalous_is_candidate(self):
         scores = {(WEB, "m"): 7.0}
@@ -211,3 +225,32 @@ class TestLocalize:
                 diag = localize(topo, nodes[0], anomalous, {}, scores, CFG, produced_at_ms=0)
                 services = {c[0] for c in diag.ranked_causes}
                 assert services == {nodes[path[-1]]}, (edges, path)
+
+
+class TestUndirectedRegressions:
+    """Runs whose hot metrics only undirected edges join, which ranked nothing
+    while an undirected neighbour counted as a parent."""
+
+    @staticmethod
+    def run(spec, entry, baseline_n):
+        frames = simulate_frames(spec)
+        series = {key: MetricSeries(key, np.arange(len(frames.values)) * spec.tick_ms, frames.values[:, g])
+                  for g, key in enumerate(frames.columns)}
+        return diagnose(series, spec.topology, entry, EntropyConfig(alarm_threshold=10.0), PCConfig(),
+                        AnomalyConfig(z_threshold=5.0),
+                        DiagnosisSettings(baseline_n=baseline_n, window_n=600, pc_row_stride=5, theta=10.0),
+                        produced_at_ms=0)
+
+    def test_three_tier_seed_303(self):
+        spec = three_tier_with_fault(FaultKind.cpu_hog, 303, start_tick=5200, end_tick=7700, duration_ticks=7700)
+        diag = self.run(spec, WEB, 2600)
+        assert [(node.service, metric) for node, metric, _ in diag.ranked_causes] == [
+            ("db", "cpu_util"), ("db", "latency")]
+        assert all("unoriented edges cpu_util-latency" in line for line in diag.evidence)
+
+    def test_random_topology(self):
+        spec = generate_random_spec(5, 8, 2.0, 3, duration_ticks=4000)
+        target = (ServiceNode("10.0.0.3", "svc2"), "m1")
+        spec.faults = [FaultEvent(3200, 4000, target, FaultKind.cpu_hog, 6.0)]
+        diag = self.run(spec, spec.topology.nodes[0], 2400)
+        assert [c[:2] for c in diag.ranked_causes] == [target, (target[0], "m4")]

@@ -90,7 +90,10 @@ def _load_series(args) -> MetricSeries:
     key, or the one named by --key)."""
     path = args.input
     lines = data_lines(path)
-    first = next(lines, (0, ""))[1]
+    try:
+        first = next(lines, (0, ""))[1]
+    except MalformedRecord:  # too long or not UTF-8: only the metrics reader reads past such a line
+        first = "{"
     lines.close()
     if first.startswith("{") and not _is_history(first):
         series_map, stats = load_metrics_file(path)

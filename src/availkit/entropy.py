@@ -14,9 +14,7 @@ Aktaruzzaman & Sassi, "Low computational cost for sample entropy",
 Entropy 20(1):61, 2018). The band is walked offset-major: a block tests
 the j-th partner of a contiguous range of sorted templates for a run of
 offsets j, so every array operation runs along long contiguous rows.
-Rows are cut into fixed tiles, and a new tile starts at each large
-cluster of ties, so each range stays close to the bands it covers.
-Blocks are cache-sized; memory is linear in the window length.
+Blocks are cache-sized; memory is O(t + _PAIR_CHUNK) for t templates.
 """
 
 from __future__ import annotations
@@ -37,16 +35,6 @@ from .model import ServiceNode
 # tracemalloc made the counter 1.3x faster; 2**13 and 2**16 took up to
 # 1.3x and 1.1x as long.
 _PAIR_CHUNK = 2**15
-# Rows per tile of _match_counts; each tile takes its own row range per
-# offset. Untiled, one range spans clusters of ties whose bands are short:
-# a tied 20,000-point series computed 1.64x the cells its bands hold, and
-# 1.18x with these tiles. Tiles of 2,048 and 8,192 rows ran slower.
-_ROW_TILE = 4096
-# A tile also starts where the band widens by more than this many partners,
-# so a tile holds no tail of the previous cluster of ties: the tied series
-# then computes 1.01x its bands' cells and ran 5-14% faster. Only a band
-# wider than this can rise by this much, so most windows skip the search.
-_BAND_JUMP = 256
 
 
 @dataclass(frozen=True)
@@ -114,19 +102,16 @@ def _match_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     `searchsorted` counts them (with a rounding slack, so no true match is
     missed). A strided view puts coordinate k of sorted template p+1+j at
     [k, j, p], NaN past the end, so one offset j is a contiguous run of
-    rows. Rows are cut into tiles of _ROW_TILE, and a tile also starts at
-    a row whose band is more than _BAND_JUMP wider than the row before
-    it: the first row of a cluster of ties. Within a tile, the rows
-    whose n_cand exceeds j lie in the range [lo_j, hi_j) that the tile's
-    prefix and suffix maxima of n_cand give, and that range narrows as j
-    grows. A block takes a run of offsets over its first offset's range
-    (a window that fits one block takes all rows and offsets at once) and
-    tests every cell exactly, |a - b| <= r per coordinate (coordinate 0 is
-    sorted, so a - b >= 0 there): cells outside a row's band lie beyond r
-    or hold NaN, so only true matches count. A block holds at most
-    _PAIR_CHUNK cells, or one offset of one tile; memory is
-    O(t + _PAIR_CHUNK + _ROW_TILE). Each unordered pair is seen once; the
-    counts double it.
+    rows. The rows whose n_cand exceeds j lie in the range [lo_j, hi_j)
+    that the prefix and suffix maxima of n_cand give, and that range
+    narrows as j grows. A block takes a run of offsets over its first
+    offset's range (a window that fits one block takes all rows and
+    offsets at once) and tests every cell exactly, |a - b| <= r per
+    coordinate (coordinate 0 is sorted, so a - b >= 0 there): cells
+    outside a row's band lie beyond r or hold NaN, so only true matches
+    count. A block holds at most _PAIR_CHUNK cells, or all rows of one
+    offset; memory is O(t + _PAIR_CHUNK). Each unordered pair is seen
+    once; the counts double it.
     """
     t = x.shape[0] - m  # number of template start positions; every one extends
     if t < 2:
@@ -142,45 +127,34 @@ def _match_counts(x: np.ndarray, m: int, r: float) -> tuple[int, int]:
     padded[:, :t] = x[order + np.arange(m + 1)[:, None]]  # coordinate k of each sorted template
     k_step, p_step = padded.strides
     partners = np.ndarray((m + 1, widest, t), float, padded, p_step, (k_step, p_step, p_step))
-    rows = min(_ROW_TILE, t)
-    cells = min(max(_PAIR_CHUNK, rows), rows * widest)  # no block is larger
+    cells = min(max(_PAIR_CHUNK, t), t * widest)  # no block is larger
     dist_buf = np.empty((m + 1) * cells)
     ok_buf = np.empty((m + 1) * cells, dtype=bool)
-    one_block = t <= _ROW_TILE and t * widest <= _PAIR_CHUNK
-    bounds = [*range(0, t, _ROW_TILE), t]
-    if widest > _BAND_JUMP:  # no smaller band can rise by more than _BAND_JUMP
-        jumps = np.flatnonzero(n_cand[1:] - n_cand[:-1] > _BAND_JUMP) + 1
-        bounds = sorted({*bounds, *jumps.tolist()})
-    b = a = 0
-    for top, end in zip(bounds, bounds[1:]):
-        if one_block:  # no ranges needed
-            span, lo, hi = widest, [top], [end]
-        else:
-            tile = n_cand[top:end]
-            rising = np.maximum.accumulate(tile)
-            span = int(rising[-1])  # the tile's widest band
-            offsets = np.arange(span)
-            lo = top + np.searchsorted(rising, offsets, side="right")
-            falling = np.maximum.accumulate(tile[::-1])  # suffix maxima, last row first
-            hi = end - np.searchsorted(falling, offsets, side="right")
-        j = 0
-        while j < span:
-            r0, r1 = int(lo[j]), int(hi[j])
-            stop = min(span, j + max(1, _PAIR_CHUNK // (r1 - r0)))
-            shape = (m + 1, stop - j, r1 - r0)
-            dist = np.ndarray(shape, float, dist_buf)
-            np.subtract(partners[:, j:stop, r0:r1], padded[:, None, r0:r1], out=dist)
-            tail = dist[1:]
-            np.abs(tail, out=tail)
-            ok = np.ndarray(shape, bool, ok_buf)
-            np.less_equal(dist, r, out=ok)
-            match = ok[0]
-            for k in range(1, m):
-                match &= ok[k]
-            b += int(np.count_nonzero(match))
-            match &= ok[m]
-            a += int(np.count_nonzero(match))
-            j = stop
+    if t * widest <= _PAIR_CHUNK:  # one block: no ranges needed
+        lo, hi = [0], [t]
+    else:
+        offsets = np.arange(widest)
+        lo = np.searchsorted(np.maximum.accumulate(n_cand), offsets, side="right")
+        falling = np.maximum.accumulate(n_cand[::-1])  # suffix maxima, last row first
+        hi = t - np.searchsorted(falling, offsets, side="right")
+    b = a = j = 0
+    while j < widest:
+        r0, r1 = int(lo[j]), int(hi[j])
+        stop = min(widest, j + max(1, _PAIR_CHUNK // (r1 - r0)))
+        shape = (m + 1, stop - j, r1 - r0)
+        dist = np.ndarray(shape, float, dist_buf)
+        np.subtract(partners[:, j:stop, r0:r1], padded[:, None, r0:r1], out=dist)
+        tail = dist[1:]
+        np.abs(tail, out=tail)
+        ok = np.ndarray(shape, bool, ok_buf)
+        np.less_equal(dist, r, out=ok)
+        match = ok[0]
+        for k in range(1, m):
+            match &= ok[k]
+        b += int(np.count_nonzero(match))
+        match &= ok[m]
+        a += int(np.count_nonzero(match))
+        j = stop
     return 2 * b, 2 * a
 
 

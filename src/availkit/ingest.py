@@ -29,13 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BindFailure, FileUnreadable, MalformedRecord, MissingField, NonFiniteValue
-from .model import MetricKey, MetricSample, MetricSeries, ServiceNode, is_dotted_quad
+from .model import (
+    MAX_LINE_BYTES,
+    MetricKey,
+    MetricSample,
+    MetricSeries,
+    ServiceNode,
+    is_dotted_quad,
+    quote_line,
+)
 
 log = logging.getLogger(__name__)
 
 FIELD_ORDER = ("ts_ms", "ip", "service", "metric", "value")
 
-MAX_LINE_BYTES = 64 * 1024  # a longer line is rejected and skipped up to its newline
 _READ_BYTES = 64 * 1024  # at most MAX_LINE_BYTES, so only a read's first line can be too long
 SHUTDOWN_POLL_S = 0.05  # how often a served thread checks for stop(); stop() waits up to this long
 KEPT_ERRORS = 20  # error messages an IngestStats keeps; later rejections are only counted
@@ -94,17 +101,17 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 
 def parse_metric_line(line: str) -> MetricSample:
-    """Decode one record; errors carry the offending line verbatim."""
+    """Decode one record; errors quote the offending line with quote_line."""
     stripped = line.strip()
     try:
         doc = json.loads(stripped)
     except (ValueError, RecursionError) as exc:  # also a >4300-digit number or deep nesting
-        raise MalformedRecord(f"bad record structure: {stripped!r}") from exc
+        raise MalformedRecord(f"bad record structure: {quote_line(stripped)}") from exc
     if not isinstance(doc, dict):
-        raise MalformedRecord(f"record is not an object: {stripped!r}")
+        raise MalformedRecord(f"record is not an object: {quote_line(stripped)}")
     for name in FIELD_ORDER:
         if name not in doc:
-            raise MissingField(f"missing {name}: {stripped!r}")
+            raise MissingField(f"missing {name}: {quote_line(stripped)}")
     try:
         ts_ms = int(doc["ts_ms"])
         value = float(doc["value"])
@@ -112,13 +119,13 @@ def parse_metric_line(line: str) -> MetricSample:
         service = str(doc["service"])
         metric = str(doc["metric"])
     except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity), float(10**400)
-        raise MalformedRecord(f"unreadable field: {stripped!r}") from exc
+        raise MalformedRecord(f"unreadable field: {quote_line(stripped)}") from exc
     if not math.isfinite(value):
-        raise NonFiniteValue(f"non-finite value: {stripped!r}")
+        raise NonFiniteValue(f"non-finite value: {quote_line(stripped)}")
     try:
         return MetricSample(ts_ms=ts_ms, ip=ip, service=service, metric=metric, value=value)
     except ValueError as exc:
-        raise MalformedRecord(f"{exc}: {stripped!r}") from exc
+        raise MalformedRecord(f"{exc}: {quote_line(stripped)}") from exc
 
 
 def serialize_metric_line(sample: MetricSample) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -231,9 +232,10 @@ REAL_CLOCK = RealClock()
 
 
 def check_cycle_s(value) -> int:
-    """A maintenance cycle length: an integer number of seconds >= 1."""
-    if type(value) is not int or value < 1:  # bool and 2.7 are rejected
-        raise ValueError("cycle_s must be an integer >= 1")
+    """A maintenance cycle length: an integer number of seconds from 1 to
+    sys.float_info.max, since the loop adds it to float due times."""
+    if type(value) is not int or not 1 <= value <= sys.float_info.max:  # bool and 2.7 are rejected
+        raise ValueError(f"cycle_s must be an integer between 1 and {sys.float_info.max:g}")
     return value
 
 

@@ -21,6 +21,7 @@ from .errors import EmptyInput, FileUnreadable, MalformedRecord
 
 MAX_TS_MS = 2**63 - 1  # stored as int64
 QUOTED_CHARS = 80  # of an input line that an error message quotes
+MAX_LINE_BYTES = 64 * 1024  # of an input line without its line end; a longer line is rejected
 
 _DOTTED_QUAD = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
 
@@ -64,11 +65,11 @@ class MetricSample:
 
     def __post_init__(self) -> None:
         if not 0 <= self.ts_ms <= MAX_TS_MS:
-            raise ValueError(f"ts_ms must be in [0, 2**63-1], got {self.ts_ms}")
+            raise ValueError(f"ts_ms must be in [0, 2**63-1], got {quote_line(str(self.ts_ms))}")
         if not self.service or not self.metric:
             raise ValueError("service and metric must be non-empty")
         if not is_dotted_quad(self.ip):
-            raise ValueError(f"ip must be a dotted quad, got {self.ip!r}")
+            raise ValueError(f"ip must be a dotted quad, got {quote_line(self.ip)}")
         if not math.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value!r}")
 
@@ -196,14 +197,18 @@ def quote_line(line: str) -> str:
 
 def data_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line of a text file that is
-    neither blank nor a '#' comment; a line that is not UTF-8 raises
-    MalformedRecord naming path:line."""
+    neither blank nor a '#' comment; a line that is not UTF-8, or longer
+    than MAX_LINE_BYTES, raises MalformedRecord naming path:line."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     with fh:
-        for i, raw in enumerate(fh, start=1):
+        # room for the longest line and its "\r\n"; a longer line is cut short
+        reads = iter(lambda: fh.readline(MAX_LINE_BYTES + 2), b"")
+        for i, raw in enumerate(reads, start=1):
+            if len(raw.removesuffix(b"\n").removesuffix(b"\r")) > MAX_LINE_BYTES:
+                raise MalformedRecord(f"{path}:{i}: line longer than {MAX_LINE_BYTES} bytes")
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:

@@ -308,9 +308,10 @@ class TestParams:
             {"maintenance_cycle_s": True},
             {"alarm_threshold": 10**400},  # float() raises OverflowError
             {"alpha": 10**400},
+            {"maintenance_cycle_s": 10**400},  # beyond the loop's float due times
         ],
         ids=["nan_threshold", "inf_threshold", "nan_alpha", "null_alpha", "fractional_cycle",
-             "bool_cycle", "huge_int_threshold", "huge_int_alpha"],
+             "bool_cycle", "huge_int_threshold", "huge_int_alpha", "huge_int_cycle"],
     )
     def test_non_finite_or_fractional_rejected(self, server, body):
         _, before = request(server, "GET", "/params")

@@ -13,6 +13,7 @@ from availkit.bus import MethodBus
 from availkit.cli import main
 from availkit.faultsim import FaultKind, generate_random_spec, simulate
 from availkit.faultsim import save_spec
+from availkit.model import MAX_LINE_BYTES
 from availkit.scenarios import three_tier_with_fault
 
 
@@ -375,6 +376,13 @@ class TestMethodsAndAnalyze:
         assert code == 1 and out == ""
         assert err == f"error: {path}:3: line is not UTF-8\n"
 
+    def test_line_over_64_kib_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"1.0\n2.0\n" + b"1" * (MAX_LINE_BYTES + 1) + b"\n3.0\n")
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:3: line longer than 65536 bytes\n"
+
     def test_methods_listing(self, capsys):
         code, out, _ = run_cli(capsys, "methods", "--format", "json")
         assert code == 0
@@ -484,6 +492,16 @@ class TestJsonDocuments:
         assert err.startswith(f"error: {path} holds no metric records (2 rejected, the first as ")
         assert err.count("\n") == 1 and "e.g. )" not in err and len(err) < 1024
 
+    def test_metrics_file_skips_a_long_first_line(self, tmp_path, capsys):
+        # the series loader peeks at the first line; a long one marks a metrics file
+        path = tmp_path / "m.ndjson"
+        record = '{"ts_ms": %d, "ip": "10.0.0.1", "service": "s", "metric": "m", "value": %s}\n'
+        values = np.random.default_rng(0).normal(size=300)
+        path.write_bytes(LONG + b"\n" + "".join(record % (i, v) for i, v in enumerate(values)).encode())
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["curve"]) == 10
+
 
 class TestSimulateErrors:
     def test_overflowing_spec_is_domain_error(self, tmp_path, capsys):
@@ -541,11 +559,13 @@ class TestServeConfig:
             ([1], "JSON object"),
             ({"maintenance_cycle_s": 0}, "'maintenance_cycle_s'"),
             ({"maintenance_cycle_s": 2.7}, "'maintenance_cycle_s'"),
+            ({"maintenance_cycle_s": 10**400}, "'maintenance_cycle_s'"),
             ({"ingest": {"listen_endpoint": "nope"}}, "'ingest'"),
             ({"diagnosis": {"interval_ms": -1000}}, "'diagnosis'"),
         ],
         ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object",
-             "zero_cycle", "fractional_cycle", "endpoint_without_port", "negative_interval"],
+             "zero_cycle", "fractional_cycle", "huge_cycle", "endpoint_without_port",
+             "negative_interval"],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, monkeypatch, doc, section):
         # an accepted config would start serving forever; fail instead

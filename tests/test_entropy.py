@@ -250,7 +250,7 @@ def candidate_counts(x, m, r):
 
 
 class TestOffsetMajorCounter:
-    """Row ranges, tiles and blocks of the offset-major traversal."""
+    """Row ranges and blocks of the offset-major traversal."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_clusters_of_very_different_spread(self, m):
@@ -261,29 +261,18 @@ class TestOffsetMajorCounter:
         assert bands[:25].min() > 25 and bands[-40:].max() < 10  # wide bands, then short ones
         assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
-    @pytest.mark.parametrize("band_jump", [0, 20, 10**9])
     @pytest.mark.parametrize("chunk", [64, 2**14])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_sawtooth_bands(self, monkeypatch, m, chunk, band_jump):
+    def test_sawtooth_bands(self, monkeypatch, m, chunk):
         # exact ties far apart: the band jumps up at each level, then falls by
-        # one per row; with the smaller chunk, tiles start at the large jumps
+        # one per row; with the smaller chunk, offsets take many blocks
         monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(entropy, "_BAND_JUMP", band_jump)
         rng = np.random.default_rng(30 + m)
         x = rng.permutation(np.repeat([0.0, 10.0, 20.0, 30.0], [30, 5, 40, 20]))
         bands = candidate_counts(x, m, 1.0)
         steps = np.diff(bands)
         assert set(steps[steps < 0].tolist()) == {-1} and (steps > 0).sum() == 3
         assert entropy._match_counts(x, m, 1.0) == brute_force_counts(list(x), m, 1.0)
-
-    @pytest.mark.parametrize("tile", [1, 3, 7])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_counts_do_not_depend_on_tile_size(self, monkeypatch, m, tile):
-        monkeypatch.setattr(entropy, "_ROW_TILE", tile)
-        for kind in ("uniform", "rounded", "three_level", "periodic"):
-            x = oracle_input(kind, 60, seed=tile + m)
-            r = 0.3 * float(np.std(x))
-            assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_chunk_smaller_than_one_offsets_rows(self, monkeypatch, m):
@@ -293,12 +282,10 @@ class TestOffsetMajorCounter:
         assert (candidate_counts(x, m, r) > 0).sum() > 4 * 4  # offset 0 alone spans many rows
         assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
-    @pytest.mark.parametrize("tile", [3, 4096])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_last_offsets_run_into_the_padding(self, monkeypatch, m, tile):
+    def test_last_offsets_run_into_the_padding(self, m):
         # the top templates tie: their bands end at the last template and are
         # the widest, so the last offsets of their rows read the NaN padding
-        monkeypatch.setattr(entropy, "_ROW_TILE", tile)
         rng = np.random.default_rng(40 + m)
         x = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, 50), np.full(25, 3.0)]))
         r = 0.2
@@ -306,6 +293,30 @@ class TestOffsetMajorCounter:
         top = np.flatnonzero(np.sort(x[:-m]) == 3.0)
         assert np.all(top + bands[top] == bands.size - 1) and bands.max() == bands[top[0]]
         assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
+
+    @pytest.mark.parametrize("kind", ["three_level", "rounded"])
+    def test_row_range_longer_than_4096_rows(self, kind):
+        # tied windows whose first offsets each span more than 4,096 rows
+        x = oracle_input(kind, 4500, seed=7)
+        r = 0.15 * float(np.std(x))
+        rows = np.flatnonzero(candidate_counts(x, 2, r))
+        assert rows[-1] - rows[0] > 4096
+        assert entropy._match_counts(x, 2, r) == chunked_pair_counts(x, 2, r)
+
+
+def chunked_pair_counts(x, m, r, rows=256):
+    """Independent numpy ordered-pair template counter, a block of rows at a time."""
+    t = x.size - m
+    coords = [x[k : k + t] for k in range(m + 1)]
+    b = a = 0
+    for i in range(0, t, rows):
+        within = np.abs(coords[0][i : i + rows, None] - coords[0]) <= r
+        for k in range(1, m):
+            within &= np.abs(coords[k][i : i + rows, None] - coords[k]) <= r
+        b += int(np.count_nonzero(within))
+        within &= np.abs(coords[m][i : i + rows, None] - coords[m]) <= r
+        a += int(np.count_nonzero(within))
+    return b - t, a - t  # every template matches itself
 
 
 class TestMseCurve:

@@ -61,6 +61,21 @@ class TestLineFormat:
         with pytest.raises(MalformedRecord, match="not json at all"):
             parse_metric_line("not json at all")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x" * 60_000,
+            '{"ts_ms":1,"ip":"' + "9" * 60_000 + '","service":"s","metric":"m","value":1}',
+            '{"ts_ms":' + "9" * 4_000 + ',"ip":"10.0.0.1","service":"s","metric":"m","value":1}',
+        ],
+        ids=["garbage", "long_ip", "long_ts"],
+    )
+    def test_long_line_gives_a_short_error(self, line):
+        # IngestStats keeps KEPT_ERRORS of these messages
+        with pytest.raises(MalformedRecord) as caught:
+            parse_metric_line(line)
+        assert len(str(caught.value)) < 1024 and f"({len(line)} characters)" in str(caught.value)
+
     def test_round_trip_parse_serialize(self):
         for s in (
             sample(),

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from availkit.errors import EmptyInput
+from availkit.errors import EmptyInput, MalformedRecord
 from availkit.model import (
+    MAX_LINE_BYTES,
     MetricKey,
     MetricSample,
     MetricSeries,
     ServiceDependencyGraph,
     ServiceNode,
     align,
+    data_lines,
     topological_order,
     validate_topology,
 )
@@ -35,6 +37,21 @@ class TestMetricSample:
     def test_rejects_bad_ip(self):
         with pytest.raises(ValueError):
             MetricSample(ts_ms=1, ip="not-an-ip", service="s", metric="m", value=1.0)
+
+
+class TestDataLines:
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "eof"])
+    def test_longest_line_is_read_whole(self, tmp_path, end):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"x" * MAX_LINE_BYTES + end)
+        assert list(data_lines(path)) == [(1, "x" * MAX_LINE_BYTES)]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "eof"])
+    def test_one_byte_longer_raises(self, tmp_path, end):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"# header\n" + b"x" * (MAX_LINE_BYTES + 1) + end)
+        with pytest.raises(MalformedRecord, match=f"input.txt:2: line longer than {MAX_LINE_BYTES} bytes"):
+            list(data_lines(path))
 
 
 class TestMetricSeries:

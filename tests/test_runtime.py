@@ -255,6 +255,15 @@ class TestLoop:
         action = parse_action_xml(fresh_runtime.actions[0])
         assert action.target == DB and action.cycle_s == 1
 
+    def test_cycle_too_large_for_a_float_is_rejected(self, fresh_runtime):
+        clock = fake_loop(fresh_runtime)
+        with pytest.raises(ValueError, match="cycle_s"):
+            fresh_runtime.set_params({"maintenance_cycle_s": 10**400})
+        assert fresh_runtime.get_params()["maintenance_cycle_s"] == 300
+        clock.at(fresh_runtime.loop, 300.5, fresh_runtime.loop.stop)
+        fresh_runtime.loop.run()  # a float due time cannot hold 10**400 s
+        assert fresh_runtime.loop.ticks == 1
+
     def test_subscriptions_add_no_threads(self, fresh_runtime):
         fresh_runtime.start_maintenance_loop()
         before = set(threading.enumerate())

@@ -261,14 +261,16 @@ class TestOffsetMajorCounter:
         assert bands[:25].min() > 25 and bands[-40:].max() < 10  # wide bands, then short ones
         assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
+    @pytest.mark.parametrize("shift", [0, 20, 10**9])
     @pytest.mark.parametrize("chunk", [64, 2**14])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_sawtooth_bands(self, monkeypatch, m, chunk):
+    def test_sawtooth_bands(self, monkeypatch, m, chunk, shift):
         # exact ties far apart: the band jumps up at each level, then falls by
-        # one per row; with the smaller chunk, offsets take many blocks
+        # one per row; with the smaller chunk, offsets take many blocks; the
+        # shifted levels stay exact, so the bands and counts must not change
         monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(30 + m)
-        x = rng.permutation(np.repeat([0.0, 10.0, 20.0, 30.0], [30, 5, 40, 20]))
+        x = shift + rng.permutation(np.repeat([0.0, 10.0, 20.0, 30.0], [30, 5, 40, 20]))
         bands = candidate_counts(x, m, 1.0)
         steps = np.diff(bands)
         assert set(steps[steps < 0].tolist()) == {-1} and (steps > 0).sum() == 3
@@ -282,10 +284,13 @@ class TestOffsetMajorCounter:
         assert (candidate_counts(x, m, r) > 0).sum() > 4 * 4  # offset 0 alone spans many rows
         assert entropy._match_counts(x, m, r) == brute_force_counts(list(x), m, r)
 
+    @pytest.mark.parametrize("chunk", [3, 4096])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_last_offsets_run_into_the_padding(self, m):
+    def test_last_offsets_run_into_the_padding(self, monkeypatch, m, chunk):
         # the top templates tie: their bands end at the last template and are
-        # the widest, so the last offsets of their rows read the NaN padding
+        # the widest, so the last offsets of their rows read the NaN padding;
+        # with the smaller chunk each offset is a block of its own
+        monkeypatch.setattr(entropy, "_PAIR_CHUNK", chunk)
         rng = np.random.default_rng(40 + m)
         x = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, 50), np.full(25, 3.0)]))
         r = 0.2

@@ -159,8 +159,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(201, {"id": sub.id})
             return
         if self.path == "/diagnosis/run":
-            entry_doc = body.get("entry") or {}
-            if "ip" not in entry_doc or "service" not in entry_doc:
+            entry_doc = body.get("entry")
+            if not (isinstance(entry_doc, dict) and "ip" in entry_doc and "service" in entry_doc):
                 raise _BadRequest("entry {ip, service} is required")
             entry = ServiceNode(str(entry_doc["ip"]), str(entry_doc["service"]))
             diag = self.runtime.run_diagnosis(entry)

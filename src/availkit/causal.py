@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AllColumnsDegenerate,
+    DuplicateName,
     InsufficientRows,
     SingularSubmatrix,
     TooFewSamples,
@@ -375,7 +376,7 @@ def learn_metric_graph(data: MetricMatrix, cfg: PCConfig) -> MetricDependencyGra
     """
     names = data.column_names()
     if len(set(names)) != len(names):
-        raise ValueError("column names must be unique for structure learning")
+        raise DuplicateName("column names must be unique for structure learning")
     order = sorted(range(len(names)), key=lambda k: names[k])
     canon = MetricMatrix(
         interval_ms=data.interval_ms,

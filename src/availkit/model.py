@@ -196,18 +196,20 @@ def quote_line(line: str) -> str:
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each line of a text file that is
-    neither blank nor a '#' comment; a line that is not UTF-8, or longer
-    than MAX_LINE_BYTES, raises MalformedRecord naming path:line."""
-    try:
-        fh = open(path, "rb")
+    r"""(line number, stripped text) of each line of a text file that is
+    neither blank nor a '#' comment; "\n", "\r\n" and a lone "\r" each end
+    a line. A line that is not UTF-8, or longer than MAX_LINE_BYTES, raises
+    MalformedRecord naming path:line."""
+    try:  # universal newlines; a byte that is not UTF-8 becomes a lone surrogate
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     with fh:
-        # room for the longest line and its "\r\n"; a longer line is cut short
-        reads = iter(lambda: fh.readline(MAX_LINE_BYTES + 2), b"")
-        for i, raw in enumerate(reads, start=1):
-            if len(raw.removesuffix(b"\n").removesuffix(b"\r")) > MAX_LINE_BYTES:
+        # room for the longest line and its newline; a longer line is cut short
+        reads = iter(lambda: fh.readline(MAX_LINE_BYTES + 1), "")
+        for i, text in enumerate(reads, start=1):
+            raw = text.removesuffix("\n").encode("utf-8", "surrogateescape")  # the line's own bytes
+            if len(raw) > MAX_LINE_BYTES:
                 raise MalformedRecord(f"{path}:{i}: line longer than {MAX_LINE_BYTES} bytes")
             try:
                 line = raw.decode("utf-8").strip()

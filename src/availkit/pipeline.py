@@ -3,11 +3,11 @@
 `cut_service` cuts each service's series once: the baseline (first
 baseline_n points), the detection window (newest window_n), the health
 window (newest entropy window_len) and the PC input (up to the last
-baseline bucket). A diagnosis scores z and entropy health on the
-detection windows, learns the metric CPDAG from the PC input and feeds
-both into the two-level localization; it reuses a health report already
-scored on the same windows. Reports and diagnoses carry the data time of
-their cuts (ServiceCut.data_ms), never the wall clock.
+baseline bucket). A diagnosis scores z on the detection windows, and
+their entropy health only where no metric's z decided the service (level
+1 is the OR of the two), learns the metric CPDAG from the PC input and
+feeds both into the two-level localization. Reports and diagnoses carry
+the data time of their cuts (ServiceCut.data_ms), never the wall clock.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class ServiceCut:
     interval_ms: int
     warnings: list[str]
     data_ms: int = 0  # newest timestamp of the service's series: the cut's data time
-    detection_is_health: bool = False  # the detection windows are exactly the health windows
 
 
 def cut_service(
@@ -101,7 +100,6 @@ def cut_service(
             cut.warnings.append(f"{key.metric}: too short for baseline/window split")
         end = int(np.searchsorted(series.ts, last_ms, side="right"))
         cut.pc_input.append(MetricSeries(key, series.ts[:end], values[:end]))
-    cut.detection_is_health = window_n == econf.window_len and cut.detection.keys() == cut.health.keys()
     return cut
 
 
@@ -125,21 +123,20 @@ class ServiceAnalysis:
 
 
 def analyze_cut(
-    node: ServiceNode, cut: ServiceCut, econf: EntropyConfig, pconf: PCConfig,
-    settings: DiagnosisSettings = DiagnosisSettings(), health: HealthReport | None = None,
+    node: ServiceNode, cut: ServiceCut, econf: EntropyConfig, pconf: PCConfig, aconf: AnomalyConfig,
+    settings: DiagnosisSettings = DiagnosisSettings(),
 ) -> ServiceAnalysis:
-    """Scores, health report and learned metric graph for one service cut;
-    health, a report on the cut's health windows, stands in for scoring the
-    detection windows when they are the same and it has econf's threshold."""
+    """Scores and learned metric graph for one service cut. The detection
+    windows' health report is scored only when no metric's z exceeds
+    aconf's threshold: service_anomaly's OR needs the entropy alarm only then."""
     warnings = list(cut.warnings)
     zscores = {metric: zscore_anomaly(cut.baseline[metric], window) for metric, window in cut.detection.items()}
-    if not (cut.detection_is_health and health is not None and health.threshold == econf.alarm_threshold):
-        health = None
-        if cut.detection:
-            try:
-                health = health_score(node, cut.detection, econf, computed_at_ms=cut.data_ms)
-            except NoUsableMetric as exc:
-                warnings.append(str(exc))
+    health: HealthReport | None = None
+    if cut.detection and not any(score > aconf.z_threshold for score in zscores.values()):
+        try:
+            health = health_score(node, cut.detection, econf, computed_at_ms=cut.data_ms)
+        except NoUsableMetric as exc:
+            warnings.append(str(exc))
 
     graph: MetricDependencyGraph | None = None
     if len(cut.pc_input) >= 2:
@@ -149,18 +146,17 @@ def analyze_cut(
             graph = learn_metric_graph(matrix, pconf)
         except EngineError as exc:
             warnings.append(f"structure learning skipped: {exc}")
-    return ServiceAnalysis(node, ServiceStatus(health=health, metric_scores=zscores), graph, warnings)
+    return ServiceAnalysis(node, ServiceStatus(health, zscores), graph, warnings)
 
 
 def diagnose_cuts(
     cuts: Mapping[ServiceNode, ServiceCut], topology: ServiceDependencyGraph, entry: ServiceNode,
     econf: EntropyConfig, pconf: PCConfig, aconf: AnomalyConfig, settings: DiagnosisSettings,
-    produced_at_ms: int | None = None, health: Mapping[ServiceNode, HealthReport | None] | None = None,
+    produced_at_ms: int | None = None,
 ) -> Diagnosis:
     """Two-level diagnosis from the cuts of topology nodes (a node without
-    one is missing); health holds reports scored on the cuts' health
-    windows (see analyze_cut). settings.theta, when set, is the entropy
-    alarm threshold; produced_at_ms defaults to the cuts' newest data time."""
+    one is missing). settings.theta, when set, is the entropy alarm
+    threshold; produced_at_ms defaults to the cuts' newest data time."""
     if settings.theta is not None:
         econf = replace(econf, alarm_threshold=settings.theta)
     if produced_at_ms is None:
@@ -169,7 +165,7 @@ def diagnose_cuts(
     graphs: dict[ServiceNode, MetricDependencyGraph] = {}
     scores: dict[tuple[ServiceNode, str], float] = {}
     for node, cut in cuts.items():
-        analysis = analyze_cut(node, cut, econf, pconf, settings, (health or {}).get(node))
+        analysis = analyze_cut(node, cut, econf, pconf, aconf, settings)
         for warning in analysis.warnings:
             log.debug("%s: %s", node.label(), warning)
         statuses[node] = analysis.status

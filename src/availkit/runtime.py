@@ -138,13 +138,12 @@ class EngineRuntime:
 
     # --- diagnosis ---
 
-    def run_diagnosis(self, entry: ServiceNode, cuts: dict[ServiceNode, ServiceCut] | None = None,
-                      health: dict[ServiceNode, HealthReport | None] | None = None) -> Diagnosis:
+    def run_diagnosis(self, entry: ServiceNode, cuts: dict[ServiceNode, ServiceCut] | None = None) -> Diagnosis:
         """Diagnose from entry on a fresh snapshot of the store, or on cuts
-        already taken, reusing the reports in health scored on them."""
+        already taken."""
         config = self.config
         args = (self.topology, entry, config.entropy, config.pc, config.anomaly, config.diagnosis)
-        diag = diagnose(self.store.all_series(), *args) if cuts is None else diagnose_cuts(cuts, *args, health=health)
+        diag = diagnose(self.store.all_series(), *args) if cuts is None else diagnose_cuts(cuts, *args)
         with self._lock:
             self._latest_diagnosis = diag
         return diag
@@ -245,10 +244,10 @@ class EngineRuntime:
         if entry is None:
             return None
         cuts = cut_services(self.store.all_series(), self.topology.nodes, self.config.entropy, self.config.diagnosis)
-        reports = {node: self.refresh_health(node, cut) for node, cut in cuts.items()}
-        if not any(report is not None and report.alarm for report in reports.values()):
+        reports = [self.refresh_health(node, cut) for node, cut in cuts.items()]  # all cached for GET /health
+        if not any(report is not None and report.alarm for report in reports):
             return None
-        diag = self.run_diagnosis(entry, cuts, reports)
+        diag = self.run_diagnosis(entry, cuts)
         return decide_action(diag, self.config.policy, action_id=f"act-{next(self._action_counter)}",
                              issued_at_ms=diag.produced_at_ms, cycle_s=self.loop.cycle_s)
 

@@ -220,6 +220,11 @@ class TestDiagnosis:
         status, doc = request(server, "POST", "/diagnosis/run", {})
         assert status == 400 and doc["error"] == "bad_request"
 
+    @pytest.mark.parametrize("entry", ["ip service", ["ip", "service"]], ids=["string", "list"])
+    def test_entry_that_is_not_an_object_is_400(self, server, entry):
+        status, doc = request(server, "POST", "/diagnosis/run", {"entry": entry})
+        assert status == 400 and doc["error"] == "bad_request"
+
     def test_unknown_entry_maps_to_engine_error(self, server):
         status, doc = request(
             server, "POST", "/diagnosis/run", {"entry": {"ip": "8.8.8.8", "service": "nope"}}

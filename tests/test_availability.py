@@ -144,6 +144,15 @@ class TestEventLog:
         loaded = load_event_log(path)
         assert loaded[DB] == events
 
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        events = log((0, "up"), (10, "down"), (20, "up"))
+        path = tmp_path / "events.ndjson"
+        path.write_bytes("".join(serialize_event_line(e) for e in events).replace("\n", "\r").encode())
+        assert load_event_log(path)[DB] == events
+        path.write_bytes(path.read_bytes() + b"nope\r")
+        with pytest.raises(MalformedRecord, match="events.ndjson:4:"):
+            load_event_log(path)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(MalformedRecord):
             parse_event_line("nope")

@@ -19,6 +19,7 @@ from availkit.causal import (
 )
 from availkit.errors import (
     AllColumnsDegenerate,
+    DuplicateName,
     InsufficientRows,
     SingularSubmatrix,
     TooFewSamples,
@@ -409,6 +410,11 @@ class TestPipelineAgainstOracle:
             return directed, undirected
 
         assert named_edges(g1) == named_edges(g2)
+
+    def test_repeated_column_name_raises(self):
+        rng = np.random.default_rng(17)
+        with pytest.raises(DuplicateName):
+            learn_metric_graph(matrix(rng.normal(size=(500, 3)), ["a", "a", "b"]), PCConfig())
 
     def test_dropped_metrics_recorded(self):
         rng = np.random.default_rng(16)

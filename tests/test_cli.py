@@ -73,6 +73,21 @@ class TestEntropyCommand:
             assert code == 1 and "score" not in out
             assert f"{path}:201:" in err  # the offending line is named
 
+    def test_lone_cr_ends_a_line(self, tmp_path, capsys):
+        # 65 values on one "\r"-separated line used to fail as "not a number"
+        lines = [f"{v}" for v in np.random.default_rng(4).normal(size=65)]
+        outputs = []
+        for end in ("\n", "\r", "\r\n"):
+            path = tmp_path / "series.csv"
+            path.write_bytes(end.join(lines + [""]).encode())
+            code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "--format", "json")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        path.write_bytes("\r".join(lines + ["x", ""]).encode())
+        code, _, err = run_cli(capsys, "entropy", "--input", str(path))
+        assert code == 1 and err.startswith(f"error: {path}:66:")
+
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "entropy", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
@@ -155,12 +170,35 @@ class TestPcCommand:
             assert code == 1 and out == ""
             assert f"{path}:52:" in err
 
+    def test_lone_cr_ends_a_row(self, tmp_path, capsys):
+        rows = ["a,b,c"] + [",".join(map(str, row)) for row in np.random.default_rng(5).normal(size=(300, 3))]
+        outputs = []
+        for end in ("\n", "\r"):
+            path = tmp_path / "m.csv"
+            path.write_bytes(end.join(rows + [""]).encode())
+            code, out, _ = run_cli(capsys, "pc", "--input", str(path), "--format", "json")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        path.write_bytes("\r".join(rows + ["1,2", ""]).encode())
+        code, _, err = run_cli(capsys, "pc", "--input", str(path))
+        assert code == 1 and err.startswith(f"error: {path}:302: row has 2 cells")
+
     def test_header_only_matrix_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n# no rows\n")
         code, out, err = run_cli(capsys, "pc", "--input", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {path} holds no data rows\n"
+
+    @pytest.mark.parametrize("argv", [["pc"], ["analyze", "--method", "pc"]], ids=["pc", "analyze"])
+    def test_repeated_column_name_is_domain_error(self, tmp_path, capsys, argv):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "m.csv"
+        path.write_text("a,a,b\n" + "".join(f"{x},{y},{z}\n" for x, y, z in rng.normal(size=(200, 3))))
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: column names must be unique for structure learning\n"
 
     def test_out_of_bounds_alpha_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"

@@ -40,18 +40,26 @@ class TestMetricSample:
 
 
 class TestDataLines:
-    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "eof"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r", b""], ids=["lf", "crlf", "cr", "eof"])
     def test_longest_line_is_read_whole(self, tmp_path, end):
         path = tmp_path / "input.txt"
         path.write_bytes(b"x" * MAX_LINE_BYTES + end)
         assert list(data_lines(path)) == [(1, "x" * MAX_LINE_BYTES)]
 
-    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b""], ids=["lf", "crlf", "eof"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r", b""], ids=["lf", "crlf", "cr", "eof"])
     def test_one_byte_longer_raises(self, tmp_path, end):
         path = tmp_path / "input.txt"
         path.write_bytes(b"# header\n" + b"x" * (MAX_LINE_BYTES + 1) + end)
         with pytest.raises(MalformedRecord, match=f"input.txt:2: line longer than {MAX_LINE_BYTES} bytes"):
             list(data_lines(path))
+
+    def test_lf_crlf_and_lone_cr_each_end_one_line(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"a\r\nb\rc\n\r\nd\r\re\xfe\r")
+        lines = data_lines(path)
+        assert [next(lines) for _ in range(4)] == [(1, "a"), (2, "b"), (3, "c"), (5, "d")]
+        with pytest.raises(MalformedRecord, match="input.txt:7: line is not UTF-8"):
+            next(lines)
 
 
 class TestMetricSeries:

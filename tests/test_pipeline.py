@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from availkit import pipeline
+from availkit import entropy, pipeline
 from availkit.causal import PCConfig, learn_metric_graph
-from availkit.entropy import EntropyConfig
-from availkit.errors import EntryNotInTopology
+from availkit.entropy import EntropyConfig, health_score
+from availkit.errors import EntryNotInTopology, NoUsableMetric
 from availkit.faultsim import FaultKind, simulate_frames
 from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, align
 from availkit.pipeline import DiagnosisSettings, analyze_cut, cut_service, diagnose, infer_interval
-from availkit.rootcause import AnomalyConfig
-from availkit.scenarios import DB, WEB, three_tier_spec, three_tier_with_fault
+from availkit.rootcause import AnomalyConfig, zscore_anomaly
+from availkit.scenarios import DB, WEB, degradation_spec, three_tier_spec, three_tier_with_fault
 
 ECONF = EntropyConfig(alarm_threshold=10.0)
 PCONF = PCConfig()
 ACONF = AnomalyConfig(z_threshold=5.0)
+ENTROPY_ONLY = AnomalyConfig(z_threshold=1e9)  # no z decides: every detection window's entropy is scored
 SETTINGS = DiagnosisSettings(baseline_n=1200, window_n=600, pc_row_stride=5, theta=10.0)
 
 
@@ -35,7 +38,7 @@ class TestAnalyzeService:
     def test_scores_and_graph(self, faulted_series):
         spec, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, ACONF, SETTINGS)
         assert analysis.status.metric_scores["cpu_util"] > 5.0
         assert analysis.status.metric_scores["mem_used"] < 5.0
         assert analysis.graph is not None
@@ -44,14 +47,14 @@ class TestAnalyzeService:
     def test_health_report_present(self, faulted_series):
         _, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, ENTROPY_ONLY, SETTINGS)
         assert analysis.status.health is not None
         assert analysis.status.health.score >= 0.0
 
     def test_short_series_warns_not_crashes(self):
         key = MetricKey(DB.ip, DB.service, "tiny")
         series = {key: MetricSeries(key, np.arange(10), np.arange(10.0))}
-        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, ACONF, SETTINGS)
         assert analysis.status.metric_scores == {}
         assert analysis.warnings
 
@@ -61,7 +64,7 @@ class TestAnalyzeService:
         rng = np.random.default_rng(3)
         series = {k: MetricSeries(k, np.arange(1000) * 1000, rng.normal(size=1000)) for k in keys}
         settings = DiagnosisSettings(baseline_n=800, window_n=600)
-        analysis = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, settings)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, ACONF, settings)
         assert analysis.status.metric_scores == {}
         assert analysis.status.health is None
         for metric in ("a", "b"):
@@ -70,7 +73,7 @@ class TestAnalyzeService:
     def test_all_empty_series_skip_structure_learning(self):
         keys = [MetricKey(DB.ip, DB.service, m) for m in ("a", "b")]
         series = {k: MetricSeries(k, np.array([], np.int64), np.array([])) for k in keys}
-        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, SETTINGS)
+        analysis = analyze_cut(DB, cut_service(series, ECONF, SETTINGS), ECONF, PCONF, ACONF, SETTINGS)
         assert analysis.graph is None
         assert any(w.startswith("structure learning skipped") for w in analysis.warnings)
 
@@ -89,7 +92,6 @@ class TestServiceCut:
         assert np.array_equal(cut.health["a"], values[400:])
         assert [len(s) for s in cut.pc_input] == [500, 500]
         assert cut.warnings == [] and cut.interval_ms == 1000
-        assert not cut.detection_is_health
 
     def test_empty_series_leaves_no_detection_window(self):
         # the shortest series sets the default split, so an empty one leaves
@@ -100,28 +102,6 @@ class TestServiceCut:
         cut = pipeline.cut_service(series, EntropyConfig())
         assert cut.detection == {} and list(cut.health) == ["a"]
         assert cut.warnings == [f"{m}: too short for baseline/window split" for m in ("a", "empty")]
-
-    def test_detection_is_health_at_the_entropy_window(self, faulted_series):
-        _, series = faulted_series
-        db_series = {k: s for k, s in series.items() if k.service == "db"}
-        assert pipeline.cut_service(db_series, ECONF).detection_is_health
-        assert pipeline.cut_service(db_series, ECONF, SETTINGS).detection_is_health
-        settings = DiagnosisSettings(baseline_n=1200, window_n=500)
-        assert not pipeline.cut_service(db_series, ECONF, settings).detection_is_health
-
-    def test_health_report_reused_only_for_the_same_windows_and_threshold(self, faulted_series):
-        _, series = faulted_series
-        db_series = {k: s for k, s in series.items() if k.service == "db"}
-        cut = pipeline.cut_service(db_series, ECONF, SETTINGS)
-        report = pipeline.health_score(DB, cut.health, ECONF)
-        reused = pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS, health=report)
-        assert reused.status.health is report
-        fresh = pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS)
-        assert fresh.status.health.to_dict() | {"computed_at_ms": 0} == report.to_dict() | {"computed_at_ms": 0}
-        other = EntropyConfig(alarm_threshold=0.5)
-        assert pipeline.analyze_cut(DB, cut, other, PCONF, SETTINGS, health=report).status.health.threshold == 0.5
-        cut.detection_is_health = False
-        assert pipeline.analyze_cut(DB, cut, ECONF, PCONF, SETTINGS, health=report).status.health is not report
 
 
 def _ragged_service(rng):
@@ -179,7 +159,7 @@ class TestBaselineCut:
         monkeypatch.setattr(
             pipeline, "learn_metric_graph", lambda m, c: seen.append(m) or learn_metric_graph(m, c)
         )
-        got = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, settings).graph
+        got = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, ACONF, settings).graph
         assert (seen[0].start_ms, seen[0].interval_ms) == (full.start_ms, interval)
         assert seen[0].columns == full.columns
         np.testing.assert_array_equal(seen[0].values, rows)
@@ -224,13 +204,13 @@ class TestDiagnose:
     def test_theta_decides_the_entropy_alarm(self, faulted_series):
         spec, series = faulted_series
         only_db = {k: s for k, s in series.items() if k.service == "db"}
-        score = analyze_cut(DB, cut_service(only_db, ECONF, SETTINGS), ECONF, PCONF, SETTINGS).status.health.score
-        entropy_only = AnomalyConfig(z_threshold=1e9)
+        cut = cut_service(only_db, ECONF, SETTINGS)
+        score = analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, SETTINGS).status.health.score
 
         def alarmed(threshold, theta):
             econf = EntropyConfig(alarm_threshold=threshold)
             settings = DiagnosisSettings(baseline_n=1200, window_n=600, pc_row_stride=5, theta=theta)
-            diag = diagnose(only_db, spec.topology, WEB, econf, PCONF, entropy_only, settings)
+            diag = diagnose(only_db, spec.topology, WEB, econf, PCONF, ENTROPY_ONLY, settings)
             return DB in diag.anomalous_services
 
         assert alarmed(score / 2, None) and not alarmed(score * 2, None)
@@ -245,7 +225,8 @@ class TestDiagnose:
                  for k, s in series.items()}
         cuts = pipeline.cut_services(older, spec.topology.nodes, ECONF, SETTINGS)
         assert cuts[WEB].data_ms == newest and cuts[DB].data_ms == newest - 100 * spec.tick_ms
-        assert analyze_cut(DB, cuts[DB], ECONF, PCONF, SETTINGS).status.health.computed_at_ms == cuts[DB].data_ms
+        health = analyze_cut(DB, cuts[DB], ECONF, PCONF, ENTROPY_ONLY, SETTINGS).status.health
+        assert health.computed_at_ms == cuts[DB].data_ms
         assert diagnose(older, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == newest
         assert pipeline.diagnose_cuts({}, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == 0
 
@@ -254,6 +235,60 @@ class TestDiagnose:
         d1 = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS, produced_at_ms=0)
         d2 = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS, produced_at_ms=0)
         assert d1.to_dict() == d2.to_dict()
+
+
+def level_one_oracle(series, topology, econf, aconf, settings):
+    """Level 1 with no shortcut: a service is anomalous when a metric's z
+    exceeds the threshold or the health score of all its detection windows
+    alarms."""
+    if settings.theta is not None:
+        econf = replace(econf, alarm_threshold=settings.theta)
+    anomalous = set()
+    for node, cut in pipeline.cut_services(series, topology.nodes, econf, settings).items():
+        z_alarm = any(zscore_anomaly(cut.baseline[m], w) > aconf.z_threshold for m, w in cut.detection.items())
+        try:
+            entropy_alarm = health_score(node, cut.detection, econf).alarm
+        except NoUsableMetric:
+            entropy_alarm = False
+        if z_alarm or entropy_alarm:
+            anomalous.add(node)
+    return anomalous
+
+
+# Thresholds chosen so that, across the cases, services are decided by z,
+# by entropy alone, or are healthy.
+LEVEL_ONE_CASES = {
+    "cpu_hog": (lambda: three_tier_with_fault(FaultKind.cpu_hog, seed=0), ECONF,
+                replace(SETTINGS, theta=1.74), 5.0),
+    "healthy": (lambda: three_tier_spec(seed=1), EntropyConfig(), DiagnosisSettings(), 3.0),
+    "degradation": (lambda: degradation_spec(seed=3), EntropyConfig(window_len=3000, alarm_threshold=1.5),
+                    DiagnosisSettings(baseline_n=1800, window_n=600, pc_row_stride=5), 8.0),
+}
+
+
+class TestLevelOne:
+    @pytest.mark.parametrize("deciding_z", [True, False], ids=["z_decides", "entropy_only"])
+    @pytest.mark.parametrize("case", sorted(LEVEL_ONE_CASES))
+    def test_anomalous_services_follow_the_or_rule(self, case, deciding_z):
+        make_spec, econf, settings, z = LEVEL_ONE_CASES[case]
+        spec = make_spec()
+        series = frames_to_series(simulate_frames(spec))
+        aconf = AnomalyConfig(z_threshold=z if deciding_z else 1e9)
+        diag = diagnose(series, spec.topology, WEB, econf, PCONF, aconf, settings)
+        assert diag.anomalous_services == level_one_oracle(series, spec.topology, econf, aconf, settings)
+
+    def test_entropy_is_scored_only_where_no_z_decides(self, faulted_series, monkeypatch):
+        _, series = faulted_series
+        db_series = {k: s for k, s in series.items() if k.service == "db"}
+        calls = []
+        original = entropy.mse_curve
+        monkeypatch.setattr(entropy, "mse_curve", lambda x, cfg: calls.append(len(x)) or original(x, cfg))
+        settings = DiagnosisSettings(baseline_n=1200, window_n=500)  # shorter than the health windows
+        cut = cut_service(db_series, ECONF, settings)
+        assert analyze_cut(DB, cut, ECONF, PCONF, ACONF, settings).status.health is None  # cpu_util's z decides
+        assert calls == []
+        assert analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, settings).status.health is not None
+        assert calls == [len(window) for window in cut.detection.values()] == [500] * len(db_series)
 
 
 class TestDiagnosisSettings:

@@ -67,44 +67,39 @@ def _check_alternating(log: Sequence[UpDownEvent]) -> None:
         last_state = event.state
 
 
-def _intervals(log: Sequence[UpDownEvent], opening: str) -> list[float]:
-    """Durations of completed intervals that start with `opening`."""
+def _intervals(log: Sequence[UpDownEvent]) -> tuple[list[float], list[float]]:
+    """Durations of the completed up and down intervals: in an alternating
+    log each event closes the interval its predecessor opened."""
     _check_alternating(log)
-    out: list[float] = []
-    open_ts = None
-    for event in log:
-        if event.state == opening:
-            open_ts = event.ts_ms
-        elif open_ts is not None:
-            out.append(float(event.ts_ms - open_ts))
-            open_ts = None
-    return out
+    ups: list[float] = []
+    downs: list[float] = []
+    for opening, closing in zip(log, log[1:]):
+        (ups if opening.state == UP else downs).append(float(closing.ts_ms - opening.ts_ms))
+    return ups, downs
+
+
+def _mean(durations: list[float], state: str) -> float:
+    if not durations:
+        raise NoCompletedInterval(f"log holds no completed {state} interval")
+    return float(np.mean(durations))
 
 
 def mttf(log: Sequence[UpDownEvent]) -> float:
     """Mean completed up-interval duration in milliseconds."""
-    ups = _intervals(log, UP)
-    if not ups:
-        raise NoCompletedInterval("log holds no completed up interval")
-    return float(np.mean(ups))
+    return _mean(_intervals(log)[0], UP)
 
 
 def mttr(log: Sequence[UpDownEvent]) -> float:
     """Mean completed down-interval duration in milliseconds."""
-    downs = _intervals(log, DOWN)
-    if not downs:
-        raise NoCompletedInterval("log holds no completed down interval")
-    return float(np.mean(downs))
+    return _mean(_intervals(log)[1], DOWN)
 
 
 def availability(log: Sequence[UpDownEvent]) -> AvailabilityReport:
     """Steady-state availability MTTF/(MTTF+MTTR) with failure count."""
-    target = log[0].target if log else ServiceNode("0.0.0.0", "unknown")
-    up_mean = mttf(log)
-    down_mean = mttr(log)
-    downs = _intervals(log, DOWN)
+    ups, downs = _intervals(log)
+    up_mean, down_mean = _mean(ups, UP), _mean(downs, DOWN)
     return AvailabilityReport(
-        target=target,
+        target=log[0].target,
         mttf_ms=up_mean,
         mttr_ms=down_mean,
         availability=up_mean / (up_mean + down_mean),

@@ -125,10 +125,28 @@ class MethodBus:
             return [self._methods[name][0] for name in sorted(self._methods)]
 
     def describe(self, name: str) -> MethodDescriptor:
+        return self._entry(name)[0]
+
+    def _entry(self, name: str) -> tuple[MethodDescriptor, Callable]:
         with self._lock:
-            if name not in self._methods:
-                raise UnknownMethod(f"unknown method {name!r}")
-            return self._methods[name][0]
+            entry = self._methods.get(name)
+        if entry is None:
+            raise UnknownMethod(f"unknown method {name!r}")
+        return entry
+
+    def resolve_params(self, name: str, params: Mapping[str, object] | None = None) -> dict[str, object]:
+        """params of method `name` validated against its ParamSpecs, the
+        omitted ones at their defaults; an unknown or out-of-bounds one
+        raises ParamOutOfBounds."""
+        desc = self.describe(name)
+        given = dict(params or {})
+        resolved = {
+            pname: spec.validate(pname, given.pop(pname)) if pname in given else spec.default
+            for pname, spec in desc.params.items()
+        }
+        if given:
+            raise ParamOutOfBounds(f"unknown parameter(s) {sorted(given)} for method {name!r}")
+        return resolved
 
     def run(
         self,
@@ -136,28 +154,15 @@ class MethodBus:
         input_value,
         params: Mapping[str, object] | None = None,
     ) -> dict:
-        """The payload of method `name` on `input_value` with `params`
-        validated against its ParamSpecs (omitted ones take defaults)."""
-        with self._lock:
-            entry = self._methods.get(name)
-        if entry is None:
-            raise UnknownMethod(f"unknown method {name!r}")
-        desc, impl = entry
+        """The payload of method `name` on `input_value` with
+        resolve_params(name, params)."""
+        desc, impl = self._entry(name)
         expected = _INPUT_TYPES[desc.input_kind]
         if not isinstance(input_value, expected):
             raise InputKindMismatch(
                 f"method {name!r} expects {desc.input_kind.value}, got {type(input_value).__name__}"
             )
-        given = dict(params or {})
-        resolved: dict[str, object] = {}
-        for pname, spec in desc.params.items():
-            if pname in given:
-                resolved[pname] = spec.validate(pname, given.pop(pname))
-            else:
-                resolved[pname] = spec.default
-        if given:
-            raise ParamOutOfBounds(f"unknown parameter(s) {sorted(given)} for method {name!r}")
-        return impl(input_value, **resolved)
+        return impl(input_value, **self.resolve_params(name, params))
 
 
 def _series_values(value) -> np.ndarray:
@@ -253,9 +258,9 @@ def _register_builtins(bus: MethodBus) -> None:
             name="mse",
             input_kind=InputKind.single_series,
             params={
-                "m": ParamSpec("int", 2, lo=1),
-                "r_fraction": ParamSpec("float", 0.15, lo=0.0, lo_open=True),
-                "max_scale": ParamSpec("int", 10, lo=1),
+                "m": ParamSpec("int", entropy.EntropyConfig.m, lo=1),
+                "r_fraction": ParamSpec("float", entropy.EntropyConfig.r_fraction, lo=0.0, lo_open=True),
+                "max_scale": ParamSpec("int", entropy.EntropyConfig.max_scale, lo=1),
             },
             description="Multi-scale sample entropy curve of one series",
         ),
@@ -266,9 +271,9 @@ def _register_builtins(bus: MethodBus) -> None:
             name="pc",
             input_kind=InputKind.metric_matrix,
             params={
-                "alpha": ParamSpec("float", 0.01, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-                "max_cond": ParamSpec("int", 3, lo=0),
-                "min_rows": ParamSpec("int", 100, lo=5),
+                "alpha": ParamSpec("float", causal.PCConfig.alpha, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
+                "max_cond": ParamSpec("int", causal.PCConfig.max_cond, lo=0),
+                "min_rows": ParamSpec("int", causal.PCConfig.min_rows, lo=5),
             },
             description="Metric dependency CPDAG via PC-stable with Fisher-z tests",
         ),
@@ -319,7 +324,7 @@ def _register_builtins(bus: MethodBus) -> None:
             name="forecast",
             input_kind=InputKind.single_series,
             params={
-                "theta": ParamSpec("float", 1.0, lo=0.0, lo_open=True),
+                "theta": ParamSpec("float", entropy.EntropyConfig.alarm_threshold, lo=0.0, lo_open=True),
                 "fit_window": ParamSpec("int", 10, lo=2),
             },
             description="OLS projection of an entropy history to the alarm threshold",

@@ -11,6 +11,7 @@ testing the same machinery.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -102,8 +103,13 @@ def _complete_and_nondegenerate(values: np.ndarray, columns: Sequence) -> tuple[
 def correlation_matrix(data: MetricMatrix) -> CorrelationResult:
     """Pearson correlations over complete rows, degenerate columns dropped.
 
-    The diagonal is exactly 1 and every entry is clamped to [-1, 1].
+    The diagonal is exactly 1 and every entry is clamped to [-1, 1]. A
+    name that labels two columns raises DuplicateName.
     """
+    names = data.column_names()
+    if len(set(names)) != len(names):
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        raise DuplicateName(f"column names must be unique, got {repeated} more than once")
     rows, keep, dropped = _complete_and_nondegenerate(data.values, data.columns)
     if not keep:
         raise AllColumnsDegenerate("every column is constant or too sparse")
@@ -375,8 +381,6 @@ def learn_metric_graph(data: MetricMatrix, cfg: PCConfig) -> MetricDependencyGra
     original input order.
     """
     names = data.column_names()
-    if len(set(names)) != len(names):
-        raise DuplicateName("column names must be unique for structure learning")
     order = sorted(range(len(names)), key=lambda k: names[k])
     canon = MetricMatrix(
         interval_ms=data.interval_ms,

@@ -25,7 +25,7 @@ from .bus import InputKind, MethodBus
 from .causal import PCConfig
 from .config import EngineConfig, load_config
 from .entropy import EntropyConfig
-from .errors import EngineError, MalformedRecord
+from .errors import EngineError, MalformedRecord, NoCompletedInterval
 from .faultsim import generate_random_spec, load_spec, simulate
 from .ingest import IngestListener, load_metrics_file, parse_endpoint
 from .model import (MetricKey, MetricMatrix, MetricSeries, ServiceNode, data_lines, load_topology,
@@ -265,7 +265,6 @@ def cmd_diagnose(args) -> int:
             DiagnosisSettings,
             baseline_n=args.baseline,
             window_n=args.window,
-            interval_ms=args.interval_ms,
             pc_row_stride=args.pc_stride,
         ),
     )
@@ -284,22 +283,31 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_availability(args) -> int:
+    """The report of the --target, or of every target in the log; in the
+    latter, a target without a completed up and down interval is listed
+    as such instead of failing the command."""
     bus = MethodBus()
     logs = load_event_log(args.events)
     targets = [_parse_node(args.target)] if args.target else sorted(logs)
-    docs = []
-    lines = []
+    docs, incomplete, lines = [], [], []
     for node in targets:
         events = logs.get(node)
         if not events:
             raise EngineError(f"no events for {node.label()}")
-        doc = bus.run("availability", events)
+        try:
+            doc = bus.run("availability", events)
+        except NoCompletedInterval as exc:
+            if args.target:
+                raise
+            incomplete.append({"target": {"ip": node.ip, "service": node.service}, "detail": str(exc)})
+            lines.append(f"{node.label()}: {exc}")
+            continue
         docs.append(doc)
         lines.append(
             f"{node.label()}: availability={doc['availability']:.6f} "
             f"mttf={doc['mttf_ms']:.0f}ms mttr={doc['mttr_ms']:.0f}ms failures={doc['n_failures']}"
         )
-    _emit(args, {"reports": docs}, "\n".join(lines))
+    _emit(args, {"reports": docs, "no_completed_interval": incomplete}, "\n".join(lines))
     return 0
 
 
@@ -370,7 +378,8 @@ def cmd_serve(args) -> int:
     runtime.start_maintenance_loop()
     print(
         f"control api on {api.endpoint[0]}:{api.endpoint[1]}, "
-        f"metrics listener on {listener.endpoint[0]}:{listener.endpoint[1]}"
+        f"metrics listener on {listener.endpoint[0]}:{listener.endpoint[1]}",
+        flush=True,  # a pipe would hold the line until exit
     )
     stop_event = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -419,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True, help="ip:service entry point")
     p.add_argument("--baseline", type=int, default=None, help="baseline points per series")
     p.add_argument("--window", type=int, default=None, help="detection window length")
-    p.add_argument("--interval-ms", type=int, default=None, dest="interval_ms")
-    p.add_argument("--pc-stride", type=int, default=1, dest="pc_stride")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--z-threshold", type=float, default=3.0, dest="z_threshold")
-    p.add_argument("--theta", type=float, default=1.0, help="entropy alarm threshold")
+    p.add_argument("--pc-stride", type=int, default=DiagnosisSettings.pc_row_stride, dest="pc_stride")
+    p.add_argument("--alpha", type=float, default=PCConfig.alpha)
+    p.add_argument("--z-threshold", type=float, default=AnomalyConfig.z_threshold, dest="z_threshold")
+    p.add_argument("--theta", type=float, default=EntropyConfig.alarm_threshold,
+                   help="entropy alarm threshold")
     _add_format(p)
     p.set_defaults(func=cmd_diagnose)
 

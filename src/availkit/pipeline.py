@@ -3,11 +3,13 @@
 `cut_service` cuts each service's series once: the baseline (first
 baseline_n points), the detection window (newest window_n), the health
 window (newest entropy window_len) and the PC input (up to the last
-baseline bucket). A diagnosis scores z on the detection windows, and
-their entropy health only where no metric's z decided the service (level
-1 is the OR of the two), learns the metric CPDAG from the PC input and
-feeds both into the two-level localization. Reports and diagnoses carry
-the data time of their cuts (ServiceCut.data_ms), never the wall clock.
+baseline bucket). It also decides the one time grid the service is
+aligned on, inferred from its timestamps. A diagnosis scores z on the
+detection windows, and their entropy health only where no metric's z
+decided the service (level 1 is the OR of the two), learns the metric
+CPDAG from the PC input and feeds both into the two-level localization.
+Reports and diagnoses carry the data time of their cuts
+(ServiceCut.data_ms), never the wall clock.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ MIN_DEFAULT_BASELINE_N = 120  # the default baseline is half the shortest series
 class DiagnosisSettings:
     baseline_n: int | None = None   # points per series used as baseline (default: half)
     window_n: int | None = None     # detection window length (default: entropy window)
-    interval_ms: int | None = None  # alignment interval (default: inferred)
     pc_row_stride: int = 1          # subsample baseline rows for structure learning
     theta: float | None = None      # entropy alarm threshold override
 
     def __post_init__(self) -> None:
-        for name in ("baseline_n", "window_n", "interval_ms", "pc_row_stride"):
+        for name in ("baseline_n", "window_n", "pc_row_stride"):
             value = getattr(self, name)
             if value is None and name != "pc_row_stride":
                 continue
@@ -52,9 +53,20 @@ class DiagnosisSettings:
 
 
 def infer_interval(series_map: Mapping[MetricKey, MetricSeries]) -> int:
-    """Smallest positive timestamp step over all series (1000 when none)."""
-    steps = (d[d > 0] for d in (np.diff(series.ts) for series in series_map.values()))
-    return min((int(d.min()) for d in steps if d.size), default=1000)
+    """The finest of the series' cadences (1000 when no series has a step).
+
+    A series' cadence is its lower-median positive timestamp step, a step
+    that occurs in it. On a regular series that is its only step, and a
+    stray near-duplicate timestamp (a resend, a second producer, a clock
+    step) does not shrink it, as it would the smallest step."""
+    cadences = []
+    for series in series_map.values():
+        steps = np.diff(series.ts)
+        steps = steps[steps > 0]
+        if steps.size:
+            middle = (steps.size - 1) // 2
+            cadences.append(int(np.partition(steps, middle)[middle]))
+    return min(cadences, default=1000)
 
 
 @dataclass
@@ -78,11 +90,16 @@ def cut_service(
     baseline defaults to half the shortest series (at least
     MIN_DEFAULT_BASELINE_N points), the detection window to the entropy
     window, shortened so it never overlaps the baseline. A series shorter
-    than both has no baseline or detection window, and a warning says so."""
+    than both has no baseline or detection window, and a warning says so.
+
+    The cut's interval_ms is the service's one time grid, infer_interval of
+    its series: every reader that aligns the service (the diagnosis's PC,
+    a matrix subscription) aligns pc_input on it, which spans at most
+    baseline_n of its buckets."""
     shortest = min((len(s) for s in series_map.values()), default=0)
     baseline_n = settings.baseline_n or max(MIN_DEFAULT_BASELINE_N, shortest // 2)
     window_n = settings.window_n or min(econf.window_len, max(0, shortest - baseline_n))
-    cut = ServiceCut({}, {}, {}, [], settings.interval_ms or infer_interval(series_map), [])
+    cut = ServiceCut({}, {}, {}, [], infer_interval(series_map), [])
     # The PC input aligns only the first baseline_n buckets: cut each series
     # at the newest baseline timestamp. The buckets start where align's do;
     # with no point at all, align raises EmptyInput.

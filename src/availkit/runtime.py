@@ -24,7 +24,7 @@ from .errors import EngineError, NoUsableMetric, ParamOutOfBounds, TooManySubscr
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
-from .pipeline import ServiceCut, cut_service, cut_services, diagnose, diagnose_cuts, infer_interval
+from .pipeline import ServiceCut, cut_service, cut_services, diagnose, diagnose_cuts
 from .rootcause import Diagnosis
 
 log = logging.getLogger(__name__)
@@ -169,7 +169,7 @@ class EngineRuntime:
         """Run a bus method every period_s seconds, the first time one period
         from now. Runs happen on the maintenance loop, so only while it is
         running; `availkit serve` always starts it."""
-        self.bus.describe(method)  # raises UnknownMethod
+        self.bus.resolve_params(method, params)  # raises UnknownMethod or ParamOutOfBounds
         if not 1 <= period_s <= sys.float_info.max:  # the loop keeps due times as floats
             raise ParamOutOfBounds(f"period_s must be between 1 and {sys.float_info.max:g}")
         with self._lock:
@@ -207,11 +207,12 @@ class EngineRuntime:
             if not metric:
                 raise ValueError(f"method {sub.method!r} needs a metric in the target")
             return self.store.series(MetricKey(ip, service, str(metric)))
-        if desc.input_kind is InputKind.metric_matrix:
+        if desc.input_kind is InputKind.metric_matrix:  # the rows a diagnosis's PC reads
             series_map = self.store.series_for_service(node)
             if not series_map:
                 raise ValueError(f"no data for {node.label()}")
-            return align(list(series_map.values()), interval_ms=infer_interval(series_map))
+            cut = cut_service(series_map, self.config.entropy, self.config.diagnosis)
+            return align(cut.pc_input, interval_ms=cut.interval_ms)
         # InputKind.event_log
         if not self.config.events_path:
             raise ValueError("no events file configured")

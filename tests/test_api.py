@@ -135,6 +135,17 @@ class TestSubscriptions:
         _, after = request(server, "GET", "/subscriptions")
         assert after == before
 
+    @pytest.mark.parametrize("params", [{"m": 0}, {"bogus": 1}], ids=["below_bound", "unknown"])
+    def test_bad_params_rejected(self, server, params):
+        _, before = request(server, "GET", "/subscriptions")
+        status, doc = request(
+            server, "POST", "/subscriptions",
+            {"method": "mse", "target": DB_CPU, "params": params, "period_s": 5},
+        )
+        assert status == 400 and doc["error"] == "param_out_of_bounds"
+        _, after = request(server, "GET", "/subscriptions")
+        assert after == before
+
     def test_non_object_target_rejected(self, server):
         for target in (5, "ab", [1, 2]):
             status, doc = request(

@@ -150,6 +150,23 @@ class TestRun:
         assert payload["n_rows"] == 500
 
 
+    def test_correlation_rejects_a_repeated_name(self):
+        # the check pc has always made
+        data = np.random.default_rng(6).normal(size=(200, 3))
+        with pytest.raises(DuplicateName):
+            MethodBus().run("correlation", MetricMatrix(1000, 0, ["a", "a", "b"], data))
+
+    def test_resolve_params_fills_defaults_and_validates(self):
+        bus = MethodBus()
+        assert bus.resolve_params("mse", {"m": "3"}) == {"m": 3, "r_fraction": 0.15, "max_scale": 10}
+        assert bus.resolve_params("correlation") == {}
+        for params in ({"m": 0}, {"bogus": 1}):
+            with pytest.raises(ParamOutOfBounds):
+                bus.resolve_params("mse", params)
+        with pytest.raises(UnknownMethod):
+            bus.resolve_params("nope")
+
+
 class TestParamSpec:
     def test_open_bounds(self):
         spec = ParamSpec("float", 0.5, lo=0.0, hi=1.0, lo_open=True, hi_open=True)

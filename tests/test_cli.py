@@ -1,7 +1,13 @@
 import json
 import os
+import re
+import selectors
+import shlex
+import signal
+import socket
 import subprocess
 import sys
+import urllib.request
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,10 +16,15 @@ import pytest
 
 from availkit import cli
 from availkit.bus import MethodBus
+from availkit.causal import PCConfig
 from availkit.cli import main
+from availkit.entropy import EntropyConfig
 from availkit.faultsim import FaultKind, generate_random_spec, simulate
 from availkit.faultsim import save_spec
-from availkit.model import MAX_LINE_BYTES
+from availkit.ingest import load_metrics_file
+from availkit.model import MAX_LINE_BYTES, MetricKey
+from availkit.pipeline import DiagnosisSettings
+from availkit.rootcause import AnomalyConfig
 from availkit.scenarios import three_tier_with_fault
 
 
@@ -108,6 +119,25 @@ class TestEntropyCommand:
         assert err.startswith(f"error: {path}:2:") and "3 cells" in err
 
 
+    def test_key_picks_one_series_of_a_metrics_file(self, tmp_path, capsys):
+        sim = simulate(generate_random_spec(2, 3, 1.0, seed=1, duration_ticks=200), tmp_path)
+        path = sim.metrics_path
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "--key", "10.0.0.2:svc1:m2",
+                               "--format", "json")
+        assert code == 0
+        series = load_metrics_file(path)[0][MetricKey("10.0.0.2", "svc1", "m2")]
+        assert json.loads(out) == MethodBus().run("mse", series)
+
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path), "--key", "10.0.0.2:svc1:nope")
+        assert code == 1 and out == ""
+        assert err == f"error: '10.0.0.2:svc1:nope' not in {path} (has 6 keys)\n"
+
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} holds 6 series; pick one with --key (e.g. 10.0.0.1:svc0:m0, ")
+        assert err.count("\n") == 1
+
+
 class TestPcCommand:
     def test_chain_graph(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -191,14 +221,17 @@ class TestPcCommand:
         assert code == 1 and out == ""
         assert err == f"error: {path} holds no data rows\n"
 
-    @pytest.mark.parametrize("argv", [["pc"], ["analyze", "--method", "pc"]], ids=["pc", "analyze"])
+    @pytest.mark.parametrize(
+        "argv", [["pc"], ["analyze", "--method", "pc"], ["analyze", "--method", "correlation"]],
+        ids=["pc", "analyze", "correlation"],
+    )
     def test_repeated_column_name_is_domain_error(self, tmp_path, capsys, argv):
         rng = np.random.default_rng(2)
         path = tmp_path / "m.csv"
         path.write_text("a,a,b\n" + "".join(f"{x},{y},{z}\n" for x, y, z in rng.normal(size=(200, 3))))
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert code == 1 and out == ""
-        assert err == "error: column names must be unique for structure learning\n"
+        assert err == "error: column names must be unique, got ['a'] more than once\n"
 
     def test_out_of_bounds_alpha_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "matrix.csv"
@@ -212,12 +245,11 @@ class TestSimulateAndDiagnose:
     @pytest.mark.parametrize(
         "flag, value, named",
         [("--theta", "-1", "--theta"), ("--z-threshold", "0", "--z-threshold"),
-         ("--alpha", "2", "--alpha"), ("--interval-ms", "-1000", "interval_ms"),
-         ("--pc-stride", "0", "pc_row_stride"), ("--baseline", "0", "baseline_n")],
-        ids=["theta", "z_threshold", "alpha", "interval_ms", "pc_stride", "baseline"],
+         ("--alpha", "2", "--alpha"), ("--pc-stride", "0", "pc_row_stride"),
+         ("--baseline", "0", "baseline_n")],
+        ids=["theta", "z_threshold", "alpha", "pc_stride", "baseline"],
     )
     def test_bad_diagnose_flag_is_domain_error(self, tmp_path, capsys, flag, value, named):
-        # a bad --interval-ms used to cut every series to nothing and still exit 0
         sim = simulate(generate_random_spec(2, 3, 1.0, seed=1, duration_ticks=60), tmp_path)
         code, out, err = run_cli(
             capsys, "diagnose", "--topology", str(sim.topology_path), "--metrics", str(tmp_path),
@@ -225,6 +257,23 @@ class TestSimulateAndDiagnose:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_interval_ms_flag_is_gone(self, capsys):
+        # the grid is inferred from the data (pipeline.infer_interval)
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--help"])
+        assert exc.value.code == 0 and "--interval-ms" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--topology", "t", "--metrics", "m", "--entry", "a:b", "--interval-ms", "1000"])
+        assert exc.value.code == 2
+        assert "--interval-ms" in capsys.readouterr().err
+
+    def test_diagnose_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["diagnose", "--topology", "t", "--metrics", "m", "--entry", "a:b"])
+        assert (args.alpha, args.z_threshold, args.theta, args.pc_stride) == (
+            PCConfig().alpha, AnomalyConfig().z_threshold, EntropyConfig().alarm_threshold,
+            DiagnosisSettings().pc_row_stride,
+        )
 
     def test_random_simulation_writes_files(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -312,6 +361,31 @@ class TestAvailabilityAndForecast:
         doc = json.loads(out)
         assert doc["reports"][0]["availability"] == pytest.approx(0.9995)
 
+    def test_target_without_completed_interval_is_listed(self, tmp_path, capsys):
+        path = tmp_path / "events.ndjson"
+        lines = [
+            '{"ts_ms": 0, "ip": "10.0.0.3", "service": "db", "state": "up"}',
+            '{"ts_ms": 0, "ip": "10.0.0.1", "service": "web", "state": "up"}',
+            '{"ts_ms": 1999, "ip": "10.0.0.3", "service": "db", "state": "down"}',
+            '{"ts_ms": 2000, "ip": "10.0.0.3", "service": "db", "state": "up"}',
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "availability", "--events", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["target"] for r in doc["reports"]] == [{"ip": "10.0.0.3", "service": "db"}]
+        assert doc["no_completed_interval"] == [
+            {"target": {"ip": "10.0.0.1", "service": "web"}, "detail": "log holds no completed up interval"}
+        ]
+        code, out, _ = run_cli(capsys, "availability", "--events", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "10.0.0.1:web: log holds no completed up interval"
+        assert out.splitlines()[1].startswith("10.0.0.3:db: availability=0.999500 ")
+        # a named target still needs a completed interval
+        code, out, err = run_cli(capsys, "availability", "--events", str(path), "--target", "10.0.0.1:web")
+        assert code == 1 and out == ""
+        assert err == "error: log holds no completed up interval\n"
+
     def test_forecast_crossing(self, tmp_path, capsys):
         path = tmp_path / "history.csv"
         path.write_text("0,0.1\n1,0.2\n2,0.3\n")
@@ -390,6 +464,18 @@ class TestMethodsAndAnalyze:
             capsys, "analyze", "--method", method, "--input", str(path), "--format", "json"
         )
         assert json.loads(out) == json.loads(analyzed)["payload"]
+
+    def test_method_defaults_are_the_config_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "methods", "--format", "json")
+        assert code == 0
+        defaults = {
+            method["name"]: {name: spec["default"] for name, spec in method["params"].items()}
+            for method in json.loads(out)["methods"]
+        }
+        econf, pconf = EntropyConfig(), PCConfig()
+        assert defaults["mse"] == {"m": econf.m, "r_fraction": econf.r_fraction, "max_scale": econf.max_scale}
+        assert defaults["pc"] == {"alpha": pconf.alpha, "max_cond": pconf.max_cond, "min_rows": pconf.min_rows}
+        assert defaults["forecast"]["theta"] == econf.alarm_threshold
 
     def test_method_flags_default_to_none(self):
         # each default lives only in the method's ParamSpec
@@ -599,11 +685,11 @@ class TestServeConfig:
             ({"maintenance_cycle_s": 2.7}, "'maintenance_cycle_s'"),
             ({"maintenance_cycle_s": 10**400}, "'maintenance_cycle_s'"),
             ({"ingest": {"listen_endpoint": "nope"}}, "'ingest'"),
-            ({"diagnosis": {"interval_ms": -1000}}, "'diagnosis'"),
+            ({"diagnosis": {"interval_ms": 1000}}, "'diagnosis'"),  # removed: inferred from the data
         ],
         ids=["out_of_range_alpha", "unknown_ingest_field", "removed_standardize", "not_an_object",
              "zero_cycle", "fractional_cycle", "huge_cycle", "endpoint_without_port",
-             "negative_interval"],
+             "removed_interval_ms"],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, monkeypatch, doc, section):
         # an accepted config would start serving forever; fail instead
@@ -631,3 +717,68 @@ class TestServeConfig:
         code, _, err = run_cli(capsys, "serve", "--listen", "127.0.0.1:0", "--metrics-listen", "nope")
         assert code == 1
         assert err.startswith("error: --metrics-listen") and "0-65535" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart_commands() -> list[list[str]]:
+    """The argv of each availkit command in the README's Quickstart section."""
+    section = README.read_text().split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+    text = "".join(re.findall(r"```bash\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("availkit ")]
+
+
+class TestQuickstart:
+    def test_readme_commands_run_as_written(self, tmp_path, capsys):
+        commands = quickstart_commands()
+        assert [argv[0] for argv in commands] == ["simulate", "availability", "entropy", "diagnose"]
+        outputs = []
+        for argv in commands:
+            code, out, err = run_cli(capsys, *(arg.replace("/tmp/run", str(tmp_path)) for arg in argv))
+            assert code == 0, (argv, err)
+            outputs.append(out)
+        simulated, availability, curve, diagnosis = outputs
+        assert simulated.startswith("wrote ")
+        # no service of the fault-free run goes down
+        assert availability.splitlines() == [
+            f"{target}: log holds no completed up interval"
+            for target in ("10.0.0.1:svc0", "10.0.0.2:svc1", "10.0.0.3:svc2")
+        ]
+        assert curve.splitlines()[-1].startswith("score: ")
+        assert diagnosis.startswith("anomalous services: none\n")
+
+
+ENDPOINTS = re.compile(r"control api on ([\d.]+):(\d+), metrics listener on ([\d.]+):(\d+)\n")
+
+
+class TestServeProcess:
+    def test_endpoint_line_arrives_before_exit(self):
+        # unbuffered output would hide a line that waits in the pipe's buffer until exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "availkit.cli", "serve",
+                "--listen", "127.0.0.1:0", "--metrics-listen", "127.0.0.1:0"]
+        with subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env) as proc:
+            try:
+                with selectors.DefaultSelector() as sel:
+                    sel.register(proc.stdout, selectors.EVENT_READ)
+                    assert sel.select(timeout=30), "no endpoint line within 30 s"
+                match = ENDPOINTS.fullmatch(proc.stdout.readline())
+                assert match, "unexpected endpoint line"
+                api_host, api_port, metrics_host, metrics_port = match.groups()
+                with socket.create_connection((metrics_host, int(metrics_port)), timeout=10) as sock:
+                    sock.sendall(b'{"ts_ms": 0, "ip": "10.0.0.3", "service": "db", '
+                                 b'"metric": "cpu", "value": 1.0}\n')
+                url = f"http://{api_host}:{api_port}/params"
+                with urllib.request.urlopen(url, timeout=10) as resp:
+                    assert resp.status == 200
+                    assert "alpha" in json.loads(resp.read())["params"]
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+                assert proc.stdout.read() == "" and proc.stderr.read() == ""
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()

@@ -104,10 +104,63 @@ class TestServiceCut:
         assert cut.warnings == [f"{m}: too short for baseline/window split" for m in ("a", "empty")]
 
 
+def _chain_service(n=4000, resend_at=None):
+    """Metrics a -> b -> c of DB at a 1 s cadence; with resend_at, a's point
+    at that index is sent a second time 1 ms later."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=n)
+    b = 0.8 * a + 0.3 * rng.normal(size=n)
+    c = 0.8 * b + 0.3 * rng.normal(size=n)
+    ts = np.arange(n, dtype=np.int64) * 1000
+    out = {}
+    for metric, values in (("a", a), ("b", b), ("c", c)):
+        key = MetricKey(DB.ip, DB.service, metric)
+        out[key] = MetricSeries(key, ts, values)
+    if resend_at is not None:
+        key = MetricKey(DB.ip, DB.service, "a")
+        k = resend_at
+        out[key] = MetricSeries(key, np.insert(ts, k + 1, ts[k] + 1), np.insert(a, k + 1, a[k]))
+    return out
+
+
+class TestInferInterval:
+    def test_near_duplicate_timestamp_keeps_the_cadence(self):
+        # the smallest step would be the resend's 1 ms
+        assert infer_interval(_chain_service(resend_at=100)) == 1000
+
+    def test_finest_cadence_wins(self):
+        keys = [MetricKey(DB.ip, DB.service, m) for m in ("slow", "fast", "single", "empty")]
+        series = {
+            keys[0]: MetricSeries(keys[0], np.arange(50) * 5000, np.zeros(50)),
+            keys[1]: MetricSeries(keys[1], np.arange(50) * 250, np.zeros(50)),
+            keys[2]: MetricSeries(keys[2], np.array([7]), np.zeros(1)),
+            keys[3]: MetricSeries(keys[3], np.array([], np.int64), np.array([])),
+        }
+        assert infer_interval(series) == 250
+        assert infer_interval({k: series[k] for k in keys[2:]}) == 1000  # no step at all
+
+    def test_cadence_is_a_step_of_the_series(self):
+        # steps 300, 300, 700, 700, 700: the lower median is 700, not a mean
+        key = MetricKey(DB.ip, DB.service, "a")
+        ts = np.array([0, 300, 600, 1300, 2000, 2700])
+        assert infer_interval({key: MetricSeries(key, ts, np.zeros(6))}) == 700
+
+    def test_jittered_service_still_learns_its_graph(self):
+        clean, jittered = _chain_service(), _chain_service(resend_at=100)
+        analyses = []
+        for series in (clean, jittered):
+            cut = cut_service(series, ECONF)
+            assert cut.interval_ms == 1000
+            analyses.append(analyze_cut(DB, cut, ECONF, PCONF, ACONF))
+        assert not any(w.startswith("structure learning skipped") for w in analyses[1].warnings)
+        assert analyses[1].graph is not None and analyses[1].graph.metrics == ["a", "b", "c"]
+        assert analyses[1].graph.to_dict() == analyses[0].graph.to_dict()
+
+
 def _ragged_service(rng):
     """Metrics a -> b -> c that start at different ticks and have gaps, a
     second sample of c in some ticks' buckets, and a metric d whose first
-    point lies after the baseline span; the only 250 ms step is in d."""
+    point lies after the baseline span; d's 250 ms cadence is the finest."""
     t0 = 1_234_999  # 1 ms before a bucket boundary at 250 and 1000 ms: the span's last ms holds a point
     n = 2000
     a = rng.normal(size=n)
@@ -134,23 +187,20 @@ def _ragged_service(rng):
         ts_c.append(t0 + 1000 * k - 100)
         vals_c.append(c[k])
     add("c", np.array(ts_c), np.array(vals_c))
-    d_ts = t0 + 1000 * np.arange(1500, n)
-    d_ts = np.sort(np.concatenate([d_ts, d_ts[-10:] + 250]))
+    d_ts = t0 + 1000 * 1500 + 250 * np.arange(4 * (n - 1500))
     add("d", d_ts, rng.normal(size=d_ts.size))
     return out
 
 
 class TestBaselineCut:
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("interval_ms", [1000, None], ids=["given", "inferred"])
-    def test_pc_input_equals_full_span_align_trimmed(self, interval_ms, stride, monkeypatch):
+    def test_pc_input_equals_full_span_align_trimmed(self, stride, monkeypatch):
         series = _ragged_service(np.random.default_rng(7))
         # odd baseline_n: its last bucket holds a point and survives stride 2
-        settings = DiagnosisSettings(
-            baseline_n=1201, window_n=200, interval_ms=interval_ms, pc_row_stride=stride, theta=10.0
-        )
+        settings = DiagnosisSettings(baseline_n=1201, window_n=200, pc_row_stride=stride, theta=10.0)
         # reference: align the whole span, keep the first baseline_n rows with the stride
-        interval = interval_ms or infer_interval(series)
+        interval = infer_interval(series)
+        assert interval == 250  # set by d, which starts after the baseline span
         full = align(list(series.values()), interval_ms=interval)
         rows = full.values[: settings.baseline_n][::stride]
         want = learn_metric_graph(MetricMatrix(interval, full.start_ms, full.columns, rows), PCONF)
@@ -293,9 +343,8 @@ class TestLevelOne:
 
 class TestDiagnosisSettings:
     @pytest.mark.parametrize("field, value", [
-        ("baseline_n", 0), ("window_n", -1), ("interval_ms", -1000), ("interval_ms", 1.5),
-        ("pc_row_stride", 0), ("pc_row_stride", None), ("theta", 0.0), ("theta", -1.0),
-        ("theta", float("nan")), ("theta", float("inf")),
+        ("baseline_n", 0), ("window_n", -1), ("pc_row_stride", 0), ("pc_row_stride", None),
+        ("theta", 0.0), ("theta", -1.0), ("theta", float("nan")), ("theta", float("inf")),
     ])
     def test_bad_value_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -304,4 +353,4 @@ class TestDiagnosisSettings:
     def test_defaults_and_values_in_use_are_valid(self):
         DiagnosisSettings()
         DiagnosisSettings(baseline_n=1800, window_n=600, pc_row_stride=5)
-        DiagnosisSettings(baseline_n=1201, window_n=200, interval_ms=1000, pc_row_stride=2, theta=10)
+        DiagnosisSettings(baseline_n=1201, window_n=200, pc_row_stride=2, theta=10)

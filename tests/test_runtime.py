@@ -1,6 +1,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from availkit import entropy
@@ -11,8 +12,8 @@ from availkit.errors import ParamOutOfBounds
 from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
 from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml, serialize_action_xml
-from availkit.model import MetricKey, MetricSample, ServiceNode
-from availkit.pipeline import DiagnosisSettings
+from availkit.model import MetricKey, MetricSample, ServiceNode, align
+from availkit.pipeline import DiagnosisSettings, cut_service
 from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
 from availkit.runtime import KEPT_ACTIONS
@@ -131,6 +132,14 @@ class TestRuntime:
             fresh_runtime.subscribe("zscore", DB_IO_WAIT, {}, period_s=10**400)
         assert fresh_runtime.subscriptions() == []
 
+    @pytest.mark.parametrize("params", [{"m": 0}, {"bogus": 1}, {"r_fraction": "x"}],
+                             ids=["below_bound", "unknown", "unreadable"])
+    def test_bad_subscription_params_register_nothing(self, fresh_runtime, params):
+        # accepted, they would fail on every run
+        with pytest.raises(ParamOutOfBounds):
+            fresh_runtime.subscribe("mse", DB_IO_WAIT, params, period_s=5)
+        assert fresh_runtime.subscriptions() == []
+
     def test_set_params_rejects_unknown(self, degraded_runtime):
         with pytest.raises(ValueError):
             degraded_runtime.set_params({"bogus": 1})
@@ -220,6 +229,34 @@ class TestServiceCut:
         fresh = fresh_runtime.run_diagnosis(fresh_runtime.entry_node()).to_dict()
         latest.pop("produced_at_ms"), fresh.pop("produced_at_ms")
         assert latest == fresh and latest["ranked_causes"]
+
+
+class TestMatrixSubscription:
+    @pytest.mark.parametrize("method", ["pc", "correlation"])
+    def test_reads_the_baseline_rows_on_the_cut_grid(self, method):
+        # 400 points of a -> b -> c at 1 s, and one of a's points resent 1 ms later
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=400)
+        b = 0.8 * a + 0.3 * rng.normal(size=400)
+        c = 0.8 * b + 0.3 * rng.normal(size=400)
+        ts = np.arange(400) * 1000
+        columns = {MetricKey(DB.ip, DB.service, m): (ts, v) for m, v in (("a", a), ("b", b), ("c", c))}
+        columns[MetricKey(DB.ip, DB.service, "a")] = (np.insert(ts, 51, ts[50] + 1), np.insert(a, 51, a[50]))
+        runtime = EngineRuntime(EngineConfig())
+        runtime.store.append_many({key: (t.tolist(), v.tolist()) for key, (t, v) in columns.items()})
+        sub = runtime.subscribe(method, {"ip": DB.ip, "service": DB.service}, {}, period_s=3600)
+        runtime.run_subscription_once(sub)
+        assert sub.latest_error is None
+
+        cut = cut_service(runtime.store.series_for_service(DB), runtime.config.entropy, runtime.config.diagnosis)
+        matrix = align(cut.pc_input, interval_ms=cut.interval_ms)
+        assert cut.interval_ms == 1000
+        assert matrix.values.shape == (200, 3)  # baseline_n: half of the shortest series
+        assert sub.latest_payload == runtime.bus.run(method, matrix)
+        if method == "correlation":
+            assert sub.latest_payload["n_rows"] == 200
+        else:
+            assert sub.latest_payload["directed"] or sub.latest_payload["undirected"]
 
 
 class TestDataTime:

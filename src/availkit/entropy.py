@@ -88,7 +88,8 @@ def coarse_grain(x: Sequence[float] | np.ndarray, tau: int) -> np.ndarray:
     return arr[: n_blocks * tau].reshape(n_blocks, tau).sum(axis=1) / tau
 
 
-def _require_finite(arr: np.ndarray) -> None:
+def require_finite(arr: np.ndarray) -> None:
+    """Raise NonFiniteValue when arr holds a NaN or an infinity."""
     bad = arr.shape[0] - int(np.count_nonzero(np.isfinite(arr)))
     if bad:
         raise NonFiniteValue(f"{bad} of {arr.shape[0]} samples are NaN or infinite")
@@ -173,7 +174,7 @@ def sample_entropy(x: Sequence[float] | np.ndarray, m: int, r: float) -> SampEnR
         raise SeriesTooShort(f"need at least m+2={m + 2} points, got {n}")
     if not (r > 0) or not math.isfinite(r):  # NaN fails the first test
         raise NonPositiveTolerance(f"tolerance must be a finite positive number, got {r}")
-    _require_finite(arr)
+    require_finite(arr)
     b, a = _match_counts(arr, m, r)
     if b == 0:
         return SampEnResult(value=None)
@@ -194,7 +195,7 @@ def mse_curve(x: Sequence[float] | np.ndarray, cfg: EntropyConfig) -> list[SampE
         raise SeriesTooShort(
             f"need at least max_scale*(m+2)={cfg.max_scale * (cfg.m + 2)} points, got {n}"
         )
-    _require_finite(arr)
+    require_finite(arr)
     sigma = float(np.std(arr))
     if sigma == 0.0:
         return [SampEnResult(value=0.0) for _ in range(cfg.max_scale)]
@@ -211,6 +212,21 @@ def curve_score(curve: Sequence[SampEnResult]) -> float | None:
     if not vals:
         return None
     return float(np.mean(vals))
+
+
+def score_bound(n: int, cfg: EntropyConfig) -> float:
+    """The highest score a participating n-point window can reach.
+
+    At scale tau the curve counts pairs among t = n//tau - m templates, so
+    an entry is at least 0 and at most ln(t(t-1) + 1), the capped value
+    with every ordered pair matched at length m (Richman & Moorman, Am J
+    Physiol 278, 2000). A participating metric averages at least
+    ceil(max_scale/2) defined entries, so its score is at most the mean of
+    that many of the largest bounds: 10.85 at n=600 with the defaults.
+    """
+    templates = (max(n // tau - cfg.m, 0) for tau in range(1, cfg.max_scale + 1))
+    bounds = sorted(math.log(t * (t - 1) + 1) for t in templates)
+    return float(np.mean(bounds[-math.ceil(cfg.max_scale / 2) :]))
 
 
 @dataclass

@@ -5,10 +5,12 @@ baseline_n points), the detection window (newest window_n), the health
 window (newest entropy window_len) and the PC input (up to the last
 baseline bucket). It also decides the one time grid the service is
 aligned on, inferred from its timestamps. A diagnosis scores z on the
-detection windows, and their entropy health only where no metric's z
-decided the service (level 1 is the OR of the two), learns the metric
-CPDAG from the PC input and feeds both into the two-level localization.
-Reports and diagnoses carry the data time of their cuts
+detection windows, and their entropy alarm only where no metric's z
+decided the service (level 1 is the OR of the two). The alarm scores the
+windows one metric at a time and stops once score_bound settles it, so a
+diagnosis keeps the verdict, not a health report. It then learns the
+metric CPDAG from the PC input and feeds both into the two-level
+localization. Reports and diagnoses carry the data time of their cuts
 (ServiceCut.data_ms), never the wall clock.
 """
 
@@ -23,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .causal import PCConfig, learn_metric_graph
-from .entropy import EntropyConfig, HealthReport, health_score
+from .entropy import EntropyConfig, health_score, require_finite, score_bound
 from .errors import EngineError, NoUsableMetric
 from .model import MetricDependencyGraph, MetricKey, MetricSeries, ServiceDependencyGraph, ServiceNode, align
 from .rootcause import AnomalyConfig, Diagnosis, ServiceStatus, localize, service_anomaly, zscore_anomaly
@@ -31,6 +33,10 @@ from .rootcause import AnomalyConfig, Diagnosis, ServiceStatus, localize, servic
 log = logging.getLogger(__name__)
 
 MIN_DEFAULT_BASELINE_N = 120  # the default baseline is half the shortest series, at least this
+# Relative slack on the bounds that settle an entropy alarm early. It lies
+# far above the rounding of a mean of scores, so rounding never flips a
+# settled verdict; a service this close to the threshold is scored in full.
+ALARM_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,19 +145,63 @@ class ServiceAnalysis:
     warnings: list[str]
 
 
+def entropy_alarm(node: ServiceNode, windows: Mapping[str, np.ndarray], econf: EntropyConfig) -> bool:
+    """health_score(node, windows, econf).alarm from as few MSE curves as
+    the verdict needs.
+
+    Each metric is scored on its own by health_score, in health_score's
+    sorted order. Once one participates, scoring stops as soon as a bound
+    settles the alarm with ALARM_BOUND_MARGIN to spare:
+    - it cannot fire when the highest mean the unscored metrics can reach,
+      each at most its score_bound, stays below the threshold;
+    - it must fire when the scored sum, spread over the scored and the
+      unscored metrics together, lies above it: an unscored metric scores
+      at least 0, and one that is excluded only raises the mean.
+    Otherwise the alarm is the mean of every participating score, taken as
+    health_score takes it. Raises NoUsableMetric, or NonFiniteValue, when
+    health_score would."""
+    theta = econf.alarm_threshold
+    metrics = sorted(windows)
+    for metric in metrics:  # health_score refuses a non-finite window long enough to score
+        if len(windows[metric]) >= econf.max_scale * (econf.m + 2):
+            require_finite(np.asarray(windows[metric], dtype=float))
+    bounds = [score_bound(len(windows[metric]), econf) for metric in metrics]
+    scores: list[float] = []
+    unusable = NoUsableMetric(f"{node.label()} has no window to score")
+    for i, metric in enumerate(metrics):
+        try:
+            scores.append(health_score(node, {metric: windows[metric]}, econf).per_metric_score[metric])
+        except NoUsableMetric as exc:
+            unusable = exc
+        if not scores:
+            continue
+        total, count = sum(scores), len(scores)
+        if total / (count + len(metrics) - i - 1) > theta * (1 + ALARM_BOUND_MARGIN):
+            return True
+        for bound in sorted(bounds[i + 1 :], reverse=True):  # raise the mean while a bound lifts it
+            if bound * count <= total:
+                break
+            total, count = total + bound, count + 1
+        if total / count < theta * (1 - ALARM_BOUND_MARGIN):
+            return False
+    if not scores:
+        raise unusable
+    return float(np.mean(scores)) > theta
+
+
 def analyze_cut(
     node: ServiceNode, cut: ServiceCut, econf: EntropyConfig, pconf: PCConfig, aconf: AnomalyConfig,
     settings: DiagnosisSettings = DiagnosisSettings(),
 ) -> ServiceAnalysis:
     """Scores and learned metric graph for one service cut. The detection
-    windows' health report is scored only when no metric's z exceeds
-    aconf's threshold: service_anomaly's OR needs the entropy alarm only then."""
+    windows' entropy alarm is decided only when no metric's z exceeds
+    aconf's threshold: service_anomaly's OR needs it only then."""
     warnings = list(cut.warnings)
     zscores = {metric: zscore_anomaly(cut.baseline[metric], window) for metric, window in cut.detection.items()}
-    health: HealthReport | None = None
+    alarm = False
     if cut.detection and not any(score > aconf.z_threshold for score in zscores.values()):
         try:
-            health = health_score(node, cut.detection, econf, computed_at_ms=cut.data_ms)
+            alarm = entropy_alarm(node, cut.detection, econf)
         except NoUsableMetric as exc:
             warnings.append(str(exc))
 
@@ -163,7 +213,7 @@ def analyze_cut(
             graph = learn_metric_graph(matrix, pconf)
         except EngineError as exc:
             warnings.append(f"structure learning skipped: {exc}")
-    return ServiceAnalysis(node, ServiceStatus(health, zscores), graph, warnings)
+    return ServiceAnalysis(node, ServiceStatus(alarm, zscores), graph, warnings)
 
 
 def diagnose_cuts(

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .entropy import HealthReport
 from .errors import EmptyWindow, EntryNotInTopology
 from .model import MetricDependencyGraph, ServiceDependencyGraph, ServiceNode
 
@@ -93,7 +92,7 @@ def cusum_change(
 class ServiceStatus:
     """Everything level 1 needs to know about one service."""
 
-    health: HealthReport | None = None
+    entropy_alarm: bool = False  # the detection windows' health score is above the threshold
     metric_scores: dict[str, float] = field(default_factory=dict)
 
 
@@ -118,9 +117,8 @@ def service_anomaly(
         if status is None:
             missing.append(node)
             continue
-        entropy_alarm = status.health is not None and status.health.alarm
         z_alarm = any(score > cfg.z_threshold for score in status.metric_scores.values())
-        if entropy_alarm or z_alarm:
+        if status.entropy_alarm or z_alarm:
             anomalous.add(node)
     return AnomalyAssessment(anomalous=anomalous, missing=missing)
 

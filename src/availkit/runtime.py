@@ -20,7 +20,7 @@ from .availability import load_event_log
 from .bus import InputKind, MethodBus
 from .config import EngineConfig
 from .entropy import HealthReport, health_score
-from .errors import EngineError, NoUsableMetric, ParamOutOfBounds, TooManySubscriptions
+from .errors import EngineError, MissingField, NoUsableMetric, ParamOutOfBounds, TooManySubscriptions
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
@@ -168,10 +168,19 @@ class EngineRuntime:
     def subscribe(self, method: str, target: dict, params: dict, period_s: int) -> Subscription:
         """Run a bus method every period_s seconds, the first time one period
         from now. Runs happen on the maintenance loop, so only while it is
-        running; `availkit serve` always starts it."""
+        running; `availkit serve` always starts it. The target names a
+        service by non-empty string ip and service, and a single-series
+        method's metric the same way; any other raises MissingField."""
         self.bus.resolve_params(method, params)  # raises UnknownMethod or ParamOutOfBounds
         if not 1 <= period_s <= sys.float_info.max:  # the loop keeps due times as floats
             raise ParamOutOfBounds(f"period_s must be between 1 and {sys.float_info.max:g}")
+        fields = ("ip", "service")
+        if self.bus.describe(method).input_kind is InputKind.single_series:
+            fields += ("metric",)
+        for name in fields:
+            value = target.get(name)
+            if not (isinstance(value, str) and value):
+                raise MissingField(f"method {method!r} needs a non-empty string {name!r} in the target")
         with self._lock:
             if len(self._subscriptions) >= MAX_SUBSCRIPTIONS:
                 raise TooManySubscriptions(f"at most {MAX_SUBSCRIPTIONS} subscriptions")
@@ -199,14 +208,9 @@ class EngineRuntime:
 
     def _subscription_input(self, sub: Subscription):
         desc = self.bus.describe(sub.method)
-        ip = str(sub.target.get("ip", ""))
-        service = str(sub.target.get("service", ""))
-        node = ServiceNode(ip, service)
+        node = ServiceNode(sub.target["ip"], sub.target["service"])  # checked by subscribe
         if desc.input_kind is InputKind.single_series:
-            metric = sub.target.get("metric")
-            if not metric:
-                raise ValueError(f"method {sub.method!r} needs a metric in the target")
-            return self.store.series(MetricKey(ip, service, str(metric)))
+            return self.store.series(MetricKey(node.ip, node.service, sub.target["metric"]))
         if desc.input_kind is InputKind.metric_matrix:  # the rows a diagnosis's PC reads
             series_map = self.store.series_for_service(node)
             if not series_map:

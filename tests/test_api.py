@@ -154,6 +154,21 @@ class TestSubscriptions:
             )
             assert status == 400 and doc["error"] == "bad_request", target
 
+    @pytest.mark.parametrize("method, target", [
+        ("mse", {"ip": "10.0.0.3", "service": "db"}),
+        ("pc", {"ip": "10.0.0.3"}),
+        ("zscore", {"ip": 5, "service": [], "metric": {}}),
+    ], ids=["no_metric", "no_service", "not_strings"])
+    def test_bad_target_rejected(self, server, method, target):
+        _, before = request(server, "GET", "/subscriptions")
+        status, doc = request(
+            server, "POST", "/subscriptions",
+            {"method": method, "target": target, "period_s": 5},
+        )
+        assert status == 400 and doc["error"] == "missing_field"
+        _, after = request(server, "GET", "/subscriptions")
+        assert after == before
+
     def test_non_object_params_rejected(self, server):
         for params in (5, "ab", [["m", 2]]):
             status, doc = request(

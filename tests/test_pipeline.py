@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from availkit import entropy, pipeline
 from availkit.causal import PCConfig, learn_metric_graph
 from availkit.entropy import EntropyConfig, health_score
-from availkit.errors import EntryNotInTopology, NoUsableMetric
+from availkit.errors import EntryNotInTopology, NonFiniteValue, NoUsableMetric
 from availkit.faultsim import FaultKind, simulate_frames
 from availkit.model import MetricKey, MetricMatrix, MetricSeries, ServiceNode, align
 from availkit.pipeline import DiagnosisSettings, analyze_cut, cut_service, diagnose, infer_interval
@@ -47,9 +48,9 @@ class TestAnalyzeService:
     def test_health_report_present(self, faulted_series):
         _, series = faulted_series
         db_series = {k: s for k, s in series.items() if k.service == "db"}
-        analysis = analyze_cut(DB, cut_service(db_series, ECONF, SETTINGS), ECONF, PCONF, ENTROPY_ONLY, SETTINGS)
-        assert analysis.status.health is not None
-        assert analysis.status.health.score >= 0.0
+        cut = cut_service(db_series, ECONF, SETTINGS)
+        analysis = analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, SETTINGS)
+        assert analysis.status.entropy_alarm == health_score(DB, cut.detection, ECONF).alarm
 
     def test_short_series_warns_not_crashes(self):
         key = MetricKey(DB.ip, DB.service, "tiny")
@@ -66,7 +67,7 @@ class TestAnalyzeService:
         settings = DiagnosisSettings(baseline_n=800, window_n=600)
         analysis = analyze_cut(DB, cut_service(series, ECONF, settings), ECONF, PCONF, ACONF, settings)
         assert analysis.status.metric_scores == {}
-        assert analysis.status.health is None
+        assert not analysis.status.entropy_alarm
         for metric in ("a", "b"):
             assert f"{metric}: too short for baseline/window split" in analysis.warnings
 
@@ -254,8 +255,7 @@ class TestDiagnose:
     def test_theta_decides_the_entropy_alarm(self, faulted_series):
         spec, series = faulted_series
         only_db = {k: s for k, s in series.items() if k.service == "db"}
-        cut = cut_service(only_db, ECONF, SETTINGS)
-        score = analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, SETTINGS).status.health.score
+        score = health_score(DB, cut_service(only_db, ECONF, SETTINGS).detection, ECONF).score
 
         def alarmed(threshold, theta):
             econf = EntropyConfig(alarm_threshold=threshold)
@@ -275,8 +275,6 @@ class TestDiagnose:
                  for k, s in series.items()}
         cuts = pipeline.cut_services(older, spec.topology.nodes, ECONF, SETTINGS)
         assert cuts[WEB].data_ms == newest and cuts[DB].data_ms == newest - 100 * spec.tick_ms
-        health = analyze_cut(DB, cuts[DB], ECONF, PCONF, ENTROPY_ONLY, SETTINGS).status.health
-        assert health.computed_at_ms == cuts[DB].data_ms
         assert diagnose(older, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == newest
         assert pipeline.diagnose_cuts({}, spec.topology, WEB, ECONF, PCONF, ACONF, SETTINGS).produced_at_ms == 0
 
@@ -335,10 +333,118 @@ class TestLevelOne:
         monkeypatch.setattr(entropy, "mse_curve", lambda x, cfg: calls.append(len(x)) or original(x, cfg))
         settings = DiagnosisSettings(baseline_n=1200, window_n=500)  # shorter than the health windows
         cut = cut_service(db_series, ECONF, settings)
-        assert analyze_cut(DB, cut, ECONF, PCONF, ACONF, settings).status.health is None  # cpu_util's z decides
+        assert not analyze_cut(DB, cut, ECONF, PCONF, ACONF, settings).status.entropy_alarm  # cpu_util's z decides
         assert calls == []
-        assert analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, settings).status.health is not None
-        assert calls == [len(window) for window in cut.detection.values()] == [500] * len(db_series)
+        alarm = analyze_cut(DB, cut, ECONF, PCONF, ENTROPY_ONLY, settings).status.entropy_alarm
+        # the detection windows, in sorted order, until a bound settles the alarm
+        assert 1 <= len(calls) <= len(db_series) and calls == [500] * len(calls)
+        assert alarm == health_score(DB, cut.detection, ECONF).alarm
+
+
+@pytest.fixture(scope="module")
+def alarm_cases(faulted_series):
+    """Detection windows of db that the settled alarm must decide exactly
+    as health_score does."""
+    def db_windows(series, n=None):
+        db_series = {k: s for k, s in series.items() if k.service == "db"}
+        if n is not None:
+            return {k.metric: s.values[-n:] for k, s in db_series.items()}
+        return cut_service(db_series, ECONF, SETTINGS).detection
+
+    healthy = db_windows(frames_to_series(simulate_frames(three_tier_spec(seed=1))))
+    short = np.arange(10.0)  # fewer than max_scale * (m + 2) points
+    sparse = np.random.default_rng(0).normal(size=40)  # two defined scales of ten
+    gap = np.where(np.arange(600) == 595, np.nan, healthy["cpu_util"])
+    return {
+        "healthy": healthy,
+        "faulted": db_windows(faulted_series[1]),
+        "degradation_3000": db_windows(frames_to_series(simulate_frames(degradation_spec(seed=3))), 3000),
+        "constant": {**healthy, "flat": np.full(600, 2.0)},
+        "one_too_short": {**healthy, "short": short},
+        "one_too_few_defined": {**healthy, "sparse": sparse},
+        "all_unusable": {"short": short, "sparse": sparse},
+        "non_finite_last": {**healthy, "zz_gap": gap},  # scored last in sorted order
+        "non_finite_too_short": {**healthy, "short": np.append(short, np.nan)},  # excluded, not refused
+    }
+
+
+def _alarm_or_error(decide):
+    try:
+        return decide()
+    except (NoUsableMetric, NonFiniteValue) as exc:
+        return type(exc)
+
+
+class TestSettledEntropyAlarm:
+    @pytest.mark.parametrize("case", ["healthy", "faulted", "degradation_3000", "constant", "one_too_short",
+                                      "one_too_few_defined", "all_unusable", "non_finite_last",
+                                      "non_finite_too_short"])
+    def test_alarm_equals_the_full_health_score(self, alarm_cases, case):
+        windows = alarm_cases[case]
+        thresholds = [0.5, 1.0, 2.0, 10.0, 1e9]
+        full = _alarm_or_error(lambda: health_score(DB, windows, ECONF))
+        if isinstance(full, type):
+            assert (full, case) in {(NoUsableMetric, "all_unusable"), (NonFiniteValue, "non_finite_last")}
+        else:
+            if case == "one_too_few_defined":  # the case holds what its name says
+                assert "sparse" in full.excluded_metrics and "sparse" in full.per_metric_entropy
+            score = full.score
+            thresholds += [score, np.nextafter(score, -np.inf), np.nextafter(score, np.inf)]
+        for theta in thresholds:
+            econf = replace(ECONF, alarm_threshold=float(theta))
+            want = _alarm_or_error(lambda: health_score(DB, windows, econf).alarm)
+            assert _alarm_or_error(lambda: pipeline.entropy_alarm(DB, windows, econf)) is want, theta
+
+    def test_a_bound_below_the_mean_is_left_out_of_the_reachable_mean(self, monkeypatch):
+        # a scores 6. Counting b's bound (5) would lower the reachable mean
+        # of a and c (9) to 7.67, below theta 8; b is excluded and c scores
+        # 12, so the mean is 9 and the alarm fires
+        scores = {"a": 6.0, "b": None, "c": 12.0}
+        bounds = {2: 5.0, 3: 12.0}
+
+        def fake_health_score(node, windows, cfg):
+            (metric,) = windows
+            if scores[metric] is None:
+                raise NoUsableMetric(metric)
+            return SimpleNamespace(per_metric_score={metric: scores[metric]})
+
+        monkeypatch.setattr(pipeline, "health_score", fake_health_score)
+        monkeypatch.setattr(pipeline, "score_bound", lambda n, cfg: bounds.get(n, 100.0))
+        windows = {"a": np.zeros(1), "b": np.zeros(2), "c": np.zeros(3)}
+        assert pipeline.entropy_alarm(DB, windows, replace(ECONF, alarm_threshold=8.0))
+
+    @pytest.mark.parametrize("n", [40, 120, 600])
+    def test_no_curve_score_exceeds_the_bound(self, n):
+        rng = np.random.default_rng(n)
+        series = {"noise": rng.normal(size=n), "walk": np.cumsum(rng.normal(size=n)),
+                  "spikes": np.where(rng.random(n) < 0.05, 50.0, 0.0) + rng.normal(size=n)}
+        participated = 0
+        for r_fraction in (0.01, 0.05, 0.15, 0.5, 1.0):
+            econf = EntropyConfig(r_fraction=r_fraction, window_len=n)
+            bound = entropy.score_bound(n, econf)
+            for x in series.values():
+                try:
+                    score = health_score(DB, {"x": x}, econf).score
+                except NoUsableMetric:
+                    continue
+                participated += 1
+                assert 0.0 <= score <= bound
+        assert participated >= 5
+        assert entropy.score_bound(600, ECONF) == pytest.approx(10.85, abs=0.005)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_healthy_criterion8_diagnosis_scores_one_curve_per_service(self, seed, monkeypatch):
+        # criterion 8's settings: at theta 10 one healthy metric's score
+        # leaves the others unable to lift a service's mean over it
+        spec = three_tier_spec(seed, 3600)
+        series = frames_to_series(simulate_frames(spec))
+        calls = []
+        original = entropy.mse_curve
+        monkeypatch.setattr(entropy, "mse_curve", lambda x, cfg: calls.append(len(x)) or original(x, cfg))
+        settings = DiagnosisSettings(baseline_n=2600, window_n=600, pc_row_stride=5, theta=10.0)
+        diag = diagnose(series, spec.topology, WEB, ECONF, PCONF, ACONF, settings)
+        assert diag.anomalous_services == set()
+        assert calls == [600] * len(spec.topology.nodes)
 
 
 class TestDiagnosisSettings:

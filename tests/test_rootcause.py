@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from availkit.causal import PCConfig
-from availkit.entropy import EntropyConfig, HealthReport
+from availkit.entropy import EntropyConfig
 from availkit.errors import EmptyWindow, EntryNotInTopology
 from availkit.faultsim import FaultEvent, FaultKind, generate_random_spec, simulate_frames
 from availkit.model import MetricDependencyGraph, MetricSeries, ServiceDependencyGraph, ServiceNode
@@ -24,19 +24,6 @@ APP = ServiceNode("10.0.0.2", "app")
 DB = ServiceNode("10.0.0.3", "db")
 CHAIN = ServiceDependencyGraph(nodes=[WEB, APP, DB], edges=[(0, 1), (1, 2)])
 CFG = AnomalyConfig(z_threshold=3.0)
-
-
-def report_with(score, node=DB, threshold=0.5):
-    return HealthReport(
-        target=node,
-        per_metric_entropy={},
-        per_metric_score={},
-        excluded_metrics=[],
-        score=score,
-        alarm=score > threshold,
-        threshold=threshold,
-        computed_at_ms=0,
-    )
 
 
 class TestZScore:
@@ -89,21 +76,21 @@ class TestCusum:
 class TestServiceAnomaly:
     def test_all_healthy(self):
         statuses = {
-            node: ServiceStatus(health=report_with(0.1, node), metric_scores={"m": 1.0})
+            node: ServiceStatus(entropy_alarm=False, metric_scores={"m": 1.0})
             for node in CHAIN.nodes
         }
         out = service_anomaly(statuses, CHAIN, CFG)
         assert out.anomalous == set() and out.missing == []
 
     def test_entropy_alarm_only(self):
-        statuses = {node: ServiceStatus(health=report_with(0.1, node)) for node in CHAIN.nodes}
-        statuses[APP] = ServiceStatus(health=report_with(0.9, APP))
+        statuses = {node: ServiceStatus(entropy_alarm=False) for node in CHAIN.nodes}
+        statuses[APP] = ServiceStatus(entropy_alarm=True)
         out = service_anomaly(statuses, CHAIN, CFG)
         assert out.anomalous == {APP}
 
     def test_zscore_only_or_rule(self):
-        statuses = {node: ServiceStatus(health=report_with(0.1, node)) for node in CHAIN.nodes}
-        statuses[DB] = ServiceStatus(health=report_with(0.1, DB), metric_scores={"cpu": 3.1})
+        statuses = {node: ServiceStatus(entropy_alarm=False) for node in CHAIN.nodes}
+        statuses[DB] = ServiceStatus(entropy_alarm=False, metric_scores={"cpu": 3.1})
         out = service_anomaly(statuses, CHAIN, CFG)
         assert out.anomalous == {DB}
 

@@ -8,7 +8,7 @@ from availkit import entropy
 from availkit.config import EngineConfig, load_config
 from availkit.config import config_from_dict
 from availkit.entropy import EntropyConfig, health_score
-from availkit.errors import ParamOutOfBounds
+from availkit.errors import MissingField, ParamOutOfBounds
 from availkit.errors import MalformedRecord
 from availkit.faultsim import simulate
 from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml, serialize_action_xml
@@ -140,6 +140,25 @@ class TestRuntime:
             fresh_runtime.subscribe("mse", DB_IO_WAIT, params, period_s=5)
         assert fresh_runtime.subscriptions() == []
 
+    @pytest.mark.parametrize("method, target", [
+        ("mse", {"ip": DB.ip, "service": DB.service}),
+        ("mse", {**DB_IO_WAIT, "metric": ""}),
+        ("pc", {"ip": DB.ip}),
+        ("pc", {"ip": DB.ip, "service": ""}),
+        ("zscore", {"ip": 5, "service": [], "metric": {}}),
+        ("availability", {"ip": DB.ip, "service": None}),
+    ], ids=["no_metric", "empty_metric", "no_service", "empty_service", "not_strings", "null_service"])
+    def test_bad_target_registers_nothing(self, fresh_runtime, method, target):
+        # accepted, they would fail on every run
+        with pytest.raises(MissingField):
+            fresh_runtime.subscribe(method, target, {}, period_s=5)
+        assert fresh_runtime.subscriptions() == []
+
+    def test_matrix_target_needs_no_metric(self, fresh_runtime):
+        sub = fresh_runtime.subscribe("pc", {"ip": DB.ip, "service": DB.service}, {}, period_s=3600)
+        fresh_runtime.run_subscription_once(sub)
+        assert sub.latest_error is None
+
     def test_set_params_rejects_unknown(self, degraded_runtime):
         with pytest.raises(ValueError):
             degraded_runtime.set_params({"bogus": 1})
@@ -182,8 +201,8 @@ def mse_calls(monkeypatch):
 
 class TestServiceCut:
     def test_alarmed_evaluation_scores_each_window_once(self, fresh_runtime, mse_calls):
-        # 13 metrics: the detection windows are the health windows, so the
-        # diagnosis reuses every health report
+        # 13 metrics, each scored once by the gate's health windows; at z 3
+        # every service is decided by z, so the diagnosis scores no window
         assert fresh_runtime.maintenance_evaluate() is not None
         assert len(mse_calls) == 13
         assert set(mse_calls) == {fresh_runtime.config.entropy.window_len}

@@ -91,7 +91,7 @@ if action is not None:
     print("\nmaintenance evaluation produced:")
     print(serialize_action_xml(action), end="")
 else:
-    print("\nmaintenance evaluation produced no action (no entropy alarm at the default threshold)")
+    print("\nmaintenance evaluation produced no action (the diagnosis ranked no cause)")
 
 api.stop()
 listener.stop()

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow, EntryNotInTopology
+from .errors import EmptyWindow, EntryNotInTopology, NonFiniteValue
 from .model import MetricDependencyGraph, ServiceDependencyGraph, ServiceNode
 
 
@@ -37,7 +37,10 @@ def zscore_anomaly(baseline: Sequence[float] | np.ndarray, window: Sequence[floa
 
     A zero-variance baseline scores 0 when the window never leaves the
     baseline mean, +inf otherwise (any deviation from a flat line is
-    maximally anomalous).
+    maximally anomalous). A NaN or an infinity in either raises
+    NonFiniteValue, since it would score NaN, which exceeds no threshold;
+    it is read off the mean, the sigma and the worst deviation, so the
+    check costs no pass over the data.
     """
     base = np.asarray(baseline, dtype=float)
     win = np.asarray(window, dtype=float)
@@ -47,10 +50,12 @@ def zscore_anomaly(baseline: Sequence[float] | np.ndarray, window: Sequence[floa
         raise EmptyWindow("baseline is empty")
     mu = float(base.mean())
     sigma = float(base.std())
-    dev = np.abs(win - mu)
+    worst = float(np.abs(win - mu).max())
+    if not (math.isfinite(sigma) and math.isfinite(worst)):
+        raise NonFiniteValue("a baseline or window value is NaN or infinite, or the z score overflows")
     if sigma == 0.0:
-        return 0.0 if float(dev.max()) == 0.0 else math.inf
-    return float(dev.max() / sigma)
+        return 0.0 if worst == 0.0 else math.inf
+    return worst / sigma
 
 
 def cusum_change(

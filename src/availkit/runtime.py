@@ -1,7 +1,7 @@
 """Shared engine state behind the HTTP API, the CLI and the service loops.
 
 One EngineRuntime owns the metric store, the method bus, the mutable
-control parameters, the subscriptions, the cached reports and the one
+control parameters, the subscriptions, the latest diagnosis and the one
 periodic loop that runs the maintenance cycle and every subscription.
 """
 
@@ -24,7 +24,7 @@ from .errors import EngineError, MissingField, NoUsableMetric, ParamOutOfBounds,
 from .ingest import MetricStore
 from .maintenance import MaintenanceAction, MaintenanceLoop, decide_action
 from .model import MetricKey, ServiceDependencyGraph, ServiceNode, align, load_topology
-from .pipeline import ServiceCut, cut_service, cut_services, diagnose, diagnose_cuts
+from .pipeline import cut_service, diagnose
 from .rootcause import Diagnosis
 
 log = logging.getLogger(__name__)
@@ -73,7 +73,6 @@ class EngineRuntime:
         if self.config.topology_path:
             self.topology = load_topology(self.config.topology_path)
         self._lock = threading.RLock()
-        self._health_cache: dict[ServiceNode, HealthReport] = {}
         self._latest_diagnosis: Diagnosis | None = None
         self._subscriptions: dict[str, Subscription] = {}
         self._sub_counter = itertools.count(1)
@@ -113,37 +112,27 @@ class EngineRuntime:
 
     # --- health ---
 
-    def refresh_health(self, node: ServiceNode, cut: ServiceCut | None = None) -> HealthReport | None:
-        """Compute and cache the entropy health report for one service from
-        the health windows of cut (default: a fresh cut of the store)."""
+    def refresh_health(self, node: ServiceNode) -> HealthReport | None:
+        """Score the entropy health report of one service from the health
+        windows of a fresh cut of the store."""
         econf = self.config.entropy
-        if cut is None:
-            cut = cut_service(self.store.series_for_service(node), econf, self.config.diagnosis)
+        cut = cut_service(self.store.series_for_service(node), econf, self.config.diagnosis)
         try:  # no health window at all raises NoUsableMetric too
-            report = health_score(node, cut.health, econf, computed_at_ms=cut.data_ms)
+            return health_score(node, cut.health, econf, computed_at_ms=cut.data_ms)
         except NoUsableMetric:
             return None
-        with self._lock:
-            self._health_cache[node] = report
-        return report
 
     def health(self, node: ServiceNode) -> HealthReport | None:
-        with self._lock:
-            cached = self._health_cache.get(node)
-            threshold = self.config.entropy.alarm_threshold
-        # a report made before set_params changed the threshold is stale
-        if cached is not None and cached.threshold == threshold:
-            return cached
+        """The service's health report, scored on request (GET /health)."""
         return self.refresh_health(node)
 
     # --- diagnosis ---
 
-    def run_diagnosis(self, entry: ServiceNode, cuts: dict[ServiceNode, ServiceCut] | None = None) -> Diagnosis:
-        """Diagnose from entry on a fresh snapshot of the store, or on cuts
-        already taken."""
+    def run_diagnosis(self, entry: ServiceNode) -> Diagnosis:
+        """Diagnose from entry on a fresh snapshot of the store."""
         config = self.config
-        args = (self.topology, entry, config.entropy, config.pc, config.anomaly, config.diagnosis)
-        diag = diagnose(self.store.all_series(), *args) if cuts is None else diagnose_cuts(cuts, *args)
+        diag = diagnose(self.store.all_series(), self.topology, entry, config.entropy, config.pc, config.anomaly,
+                        config.diagnosis)
         with self._lock:
             self._latest_diagnosis = diag
         return diag
@@ -242,17 +231,14 @@ class EngineRuntime:
         return None
 
     def maintenance_evaluate(self) -> MaintenanceAction | None:
-        """One maintenance evaluation: cut each service from one snapshot and
-        refresh its health from the cut; on an alarm, diagnose those cuts and
-        issue the action at the diagnosis's data time."""
+        """One maintenance evaluation: diagnose a fresh snapshot and issue
+        the action for the top-ranked cause, if any, at the diagnosis's data
+        time. The diagnosis's own level-1 rule (z, else the entropy alarm of
+        the detection windows) decides which services are anomalous."""
         entry = self.entry_node()
         if entry is None:
             return None
-        cuts = cut_services(self.store.all_series(), self.topology.nodes, self.config.entropy, self.config.diagnosis)
-        reports = [self.refresh_health(node, cut) for node, cut in cuts.items()]  # all cached for GET /health
-        if not any(report is not None and report.alarm for report in reports):
-            return None
-        diag = self.run_diagnosis(entry, cuts)
+        diag = self.run_diagnosis(entry)
         return decide_action(diag, self.config.policy, action_id=f"act-{next(self._action_counter)}",
                              issued_at_ms=diag.produced_at_ms, cycle_s=self.loop.cycle_s)
 

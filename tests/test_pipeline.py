@@ -239,6 +239,19 @@ class TestDiagnose:
         assert diag.ranked_causes == []
         assert diag.anomalous_services == set()
 
+    @pytest.mark.parametrize("z_threshold", [3.0, 1e9])
+    def test_nan_in_a_detection_window_raises_at_any_z(self, z_threshold):
+        # z 3 used to decide db by another metric and return a diagnosis,
+        # since the NaN metric's z is NaN, which exceeds no threshold
+        spec = three_tier_spec(seed=1)
+        series = frames_to_series(simulate_frames(spec))
+        key = MetricKey(DB.ip, DB.service, "threads_connected")
+        values = series[key].values.copy()
+        values[-10] = np.nan
+        series[key] = MetricSeries(key, series[key].ts, values)
+        with pytest.raises(NonFiniteValue):
+            diagnose(series, spec.topology, WEB, ECONF, PCONF, AnomalyConfig(z_threshold), SETTINGS, produced_at_ms=0)
+
     def test_entry_not_in_topology(self, faulted_series):
         spec, series = faulted_series
         with pytest.raises(EntryNotInTopology):

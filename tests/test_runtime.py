@@ -10,14 +10,14 @@ from availkit.config import config_from_dict
 from availkit.entropy import EntropyConfig, health_score
 from availkit.errors import MissingField, ParamOutOfBounds
 from availkit.errors import MalformedRecord
-from availkit.faultsim import simulate
+from availkit.faultsim import FaultKind, simulate
 from availkit.maintenance import ActionKind, MaintenanceLoop, parse_action_xml, serialize_action_xml
 from availkit.model import MetricKey, MetricSample, ServiceNode, align
 from availkit.pipeline import DiagnosisSettings, cut_service
 from availkit.rootcause import AnomalyConfig
 from availkit.runtime import EngineRuntime
 from availkit.runtime import KEPT_ACTIONS
-from availkit.scenarios import DB, WEB, degradation_spec
+from availkit.scenarios import DB, WEB, degradation_spec, three_tier_with_fault
 from fakeclock import FakeClock
 
 
@@ -200,12 +200,11 @@ def mse_calls(monkeypatch):
 
 
 class TestServiceCut:
-    def test_alarmed_evaluation_scores_each_window_once(self, fresh_runtime, mse_calls):
-        # 13 metrics, each scored once by the gate's health windows; at z 3
-        # every service is decided by z, so the diagnosis scores no window
+    def test_evaluation_decided_by_z_scores_no_window(self, fresh_runtime, mse_calls):
+        # no health gate: at z 3 every service is decided by z, so the
+        # diagnosis scores no entropy window at all
         assert fresh_runtime.maintenance_evaluate() is not None
-        assert len(mse_calls) == 13
-        assert set(mse_calls) == {fresh_runtime.config.entropy.window_len}
+        assert mse_calls == []
 
     def test_mse_subscription_scores_only_its_series(self, fresh_runtime, mse_calls):
         sub = fresh_runtime.subscribe("mse", DB_IO_WAIT, {}, period_s=3600)
@@ -214,7 +213,7 @@ class TestServiceCut:
         assert mse_calls == [len(fresh_runtime.store.series(MetricKey(DB.ip, DB.service, "io_wait")))]
         assert fresh_runtime.health(DB) is not None  # scored on a miss
 
-    def test_distinct_detection_window_is_scored_too(self, degraded_sim, mse_calls):
+    def test_long_health_window_is_not_scored_by_an_evaluation(self, degraded_sim, mse_calls):
         config = EngineConfig(
             entropy=EntropyConfig(window_len=3000),
             anomaly=AnomalyConfig(z_threshold=5.0),
@@ -227,9 +226,25 @@ class TestServiceCut:
             assert runtime.maintenance_evaluate() is not None
         finally:
             runtime.stop()
-        # the gate scores the 3,000-point health windows; every service has
-        # a metric over z, so the diagnosis scores no 600-point window
-        assert mse_calls == [3000] * 13
+        # every service has a metric over z, so no 600-point detection
+        # window is scored, and no 3,000-point health window either
+        assert mse_calls == []
+
+    def test_a_z_decided_fault_acts_where_no_health_window_alarms(self, tmp_path):
+        # criterion-8 thresholds: a cpu_hog at the db is over z 5, while no
+        # service's health window scores over theta 10, which used to hold
+        # the evaluation back before it diagnosed
+        sim = simulate(three_tier_with_fault(FaultKind.cpu_hog, 0, 2400, 3000, 3000), tmp_path)
+        config = EngineConfig(entropy=EntropyConfig(alarm_threshold=10.0), anomaly=AnomalyConfig(z_threshold=5.0),
+                              topology_path=str(sim.topology_path))
+        runtime = EngineRuntime(config)
+        try:
+            runtime.store.load_file(sim.metrics_path)
+            assert not any(runtime.health(node).alarm for node in runtime.topology.nodes)
+            action = runtime.maintenance_evaluate()
+        finally:
+            runtime.stop()
+        assert action is not None and action.target == DB
 
     def test_cached_health_is_the_newest_window(self, fresh_runtime):
         fresh_runtime.maintenance_evaluate()
@@ -300,6 +315,13 @@ class TestDataTime:
         assert fresh_runtime.health(WEB).computed_at_ms == later
         assert fresh_runtime.health(DB).computed_at_ms == self.NEWEST_MS
         assert fresh_runtime.run_diagnosis(fresh_runtime.entry_node()).produced_at_ms == later
+
+    def test_health_reflects_a_point_appended_after_an_evaluation(self, fresh_runtime):
+        assert fresh_runtime.maintenance_evaluate() is not None
+        assert fresh_runtime.health(DB).computed_at_ms == self.NEWEST_MS
+        later = self.NEWEST_MS + 1_000
+        assert fresh_runtime.store.append(MetricSample(later, DB.ip, DB.service, "io_wait", 1.0))
+        assert fresh_runtime.health(DB).computed_at_ms == later
 
 
 class TestLoop:
